@@ -13,12 +13,16 @@
 //! single-core runners are never mistaken for 4-core measurements), and
 //! the states/sec of a master-equation solve an order of magnitude beyond
 //! the old dense-LU state limit, so CI can track the hot path over time.
+//! The kernel-scaling record also carries one 2-D point: the incremental
+//! kernel on the committed 16×16 island-array deck, whose coupling lists
+//! are dense (a recorded number, not a gate).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use se_bench::{chain_system, kmc};
-use se_montecarlo::{KmcKernel, MasterEquation};
+use se_montecarlo::{tunnel_system_from_netlist, KmcKernel, MasterEquation};
+use se_netlist::parse_full_deck;
 use se_numeric::sampling::{exponential_waiting_time, select_weighted};
 use se_orthodox::{rates::tunnel_rate, ChargeState, TunnelSystem};
 use se_units::constants::E;
@@ -57,6 +61,13 @@ const TEMPERATURE: f64 = 0.1;
 /// shrink with N so the full-recompute side of a sample stays ~10–50 ms;
 /// both kernels run the identical count at each size.
 const SWEEP: [(usize, usize); 3] = [(8, 50_000), (64, 20_000), (256, 10_000)];
+/// The committed 16×16 island-array deck: 512 junctions whose strong
+/// coupling lists hold nearly every other junction.
+const ARRAY_DECK: &str = include_str!("../../../examples/decks/array16x16_background.cir");
+/// Drain bias of the array record: the middle point of the deck's sweep.
+const ARRAY_VD: f64 = 0.6;
+/// Measured events per array sample.
+const ARRAY_EVENTS: usize = 5_000;
 /// The master-equation bench solves at 1 K so thermal mixing populates a
 /// representative share of the enumerated states.
 const MASTER_TEMPERATURE: f64 = 1.0;
@@ -117,6 +128,20 @@ fn run_full_recompute_loop(system: &TunnelSystem, events: usize, seed: u64) -> (
 
 fn run_incremental_loop(system: &TunnelSystem, events: usize, seed: u64) -> (u64, f64) {
     kmc::run_scalar(system, TEMPERATURE, seed, 0, events)
+}
+
+/// The array deck's system at [`ARRAY_VD`] and its temperature.
+fn array_system() -> (TunnelSystem, f64) {
+    let deck = parse_full_deck(ARRAY_DECK).expect("the committed array deck parses");
+    let mut system =
+        tunnel_system_from_netlist(&deck.netlist).expect("the array deck is a pure SET circuit");
+    let drain = system
+        .external_index("drain")
+        .expect("the array deck has a drain");
+    system
+        .set_external_voltage(drain, ARRAY_VD)
+        .expect("valid drain bias");
+    (system, deck.options.temperature)
 }
 
 fn master_states() -> usize {
@@ -233,7 +258,9 @@ fn kmc_hotpath(c: &mut Criterion) {
     // sides, construction excluded from the timed region
     // (`kernel_events_per_sec`). `events_per_sec_nN` is the tree kernel;
     // `large_n_speedup` (tree / full recompute at N = 256) carries the
-    // CI-gated ≥ 3× incremental-maintenance acceptance.
+    // CI-gated ≥ 3× incremental-maintenance acceptance. The 2-D point
+    // (`events_per_sec_array16x16`) times the tree kernel alone on the
+    // array deck at the deck's own temperature; it is recorded, not gated.
     let sweep: Vec<(usize, f64, f64)> = SWEEP
         .iter()
         .map(|&(n, events)| {
@@ -259,6 +286,14 @@ fn kmc_hotpath(c: &mut Criterion) {
             )
         })
         .collect();
+    let (array, array_temperature) = array_system();
+    let array_tree = kmc::kernel_events_per_sec(
+        &array,
+        array_temperature,
+        3,
+        ARRAY_EVENTS,
+        KmcKernel::Incremental,
+    );
     let (_, n256_tree, n256_full) = sweep[2];
     let large_n_speedup = n256_tree / n256_full;
     let json = format!(
@@ -279,6 +314,7 @@ fn kmc_hotpath(c: &mut Criterion) {
          \"batched_speedup_vs_sequential_1_thread\": {:.3},\n  \
          \"batched_speedup_vs_sequential\": {:.3},\n\
          {sweep_json}  \
+         \"events_per_sec_array16x16\": {array_tree:.1},\n  \
          \"large_n_speedup\": {large_n_speedup:.2},\n  \
          \"master_islands\": {MASTER_ISLANDS},\n  \"master_window\": {MASTER_WINDOW},\n  \
          \"master_states\": {states},\n  \"master_solve_seconds\": {master_seconds:.6},\n  \

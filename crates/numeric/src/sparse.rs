@@ -482,6 +482,9 @@ fn stationary_gauss_seidel(
             p[i] = inflow_sum / out_rate[i];
         }
     };
+    // The last sweep's largest probability change; infinite until a sweep
+    // has run, so a zero-sweep budget never reports convergence-like zero.
+    let mut residual = f64::INFINITY;
     for sweep in 0..options.max_sweeps {
         if sweep % 2 == 0 {
             for i in 0..n {
@@ -506,6 +509,7 @@ fn stationary_gauss_seidel(
             .iter()
             .zip(previous.iter())
             .fold(0.0_f64, |m, (&a, &b)| m.max((a - b).abs()));
+        residual = delta;
         if delta <= options.tolerance {
             return Ok((
                 normalised.clone(),
@@ -518,10 +522,6 @@ fn stationary_gauss_seidel(
         }
         previous.copy_from_slice(normalised);
     }
-    let residual = normalised
-        .iter()
-        .zip(previous.iter())
-        .fold(0.0_f64, |m, (&a, &b)| m.max((a - b).abs()));
     Err(NumericError::NoConvergence {
         iterations: options.max_sweeps,
         residual,
@@ -671,6 +671,34 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, NumericError::NoConvergence { .. }));
+    }
+
+    #[test]
+    fn exhausted_gauss_seidel_reports_the_last_sweep_residual() {
+        let (inflow, out) = birth_death();
+        let err = stationary_distribution(
+            &inflow,
+            &out,
+            0,
+            &StationaryOptions {
+                tolerance: 1e-300,
+                max_sweeps: 3,
+                solver: StationarySolver::GaussSeidel,
+            },
+        )
+        .unwrap_err();
+        let NumericError::NoConvergence {
+            iterations,
+            residual,
+        } = err
+        else {
+            panic!("expected NoConvergence, got {err:?}");
+        };
+        assert_eq!(iterations, 3);
+        assert!(
+            residual > 0.0 && residual.is_finite(),
+            "an unconverged solve must report its last sweep's change, got {residual:e}"
+        );
     }
 
     #[test]

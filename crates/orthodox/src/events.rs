@@ -25,6 +25,31 @@
 //! The rates live in the leaves of a fixed-shape [`PartialSumTree`],
 //! giving an O(log E) total and an O(log E) inverse-CDF selection.
 //!
+//! On 2-D arrays the strong lists are dense, and nearly every event they
+//! touch sits inside the Boltzmann window, where its rate needs the `exp`
+//! polynomial and a division. So the maintenance runs as three passes over
+//! the fired junction's strong list rather than one fused loop:
+//!
+//! 1. **Axpy and compaction.** Each listed ΔF is shifted in place. Every
+//!    directed event inside the frozen cutoff, or still holding a non-zero
+//!    leaf, is appended to contiguous per-table scratch (ΔF, prefactor,
+//!    leaf index). The append is branch-free: the candidate is written at
+//!    the cursor, and the cursor advances by the keep flag.
+//! 2. **Rates.** One contiguous loop evaluates the staged events:
+//!    `rate_from_parts_branchfree`, then the `ΔF > cutoff → 0` select. It
+//!    is bit for bit the `fill_rates` cutoff-then-kernel expression, and
+//!    it auto-vectorizes. At T = 0 the same loop runs `rate_from_parts`.
+//! 3. **Scatter.** The rates are written into their leaves in ascending
+//!    leaf order. A dense window is followed by a full tree rebuild; a
+//!    sparse one records, also branch-free, the leaves whose bits changed
+//!    and fixes up only their ancestors. Both give the same bits.
+//!
+//! A refill stages every in-window event and runs the same rate pass, so
+//! the table has one rate-evaluation routine. Frozen events with a zero
+//! leaf are never staged; on a cold chain, where only a handful of the
+//! touched events are in the window, that keeps the pass as cheap as the
+//! compare it replaces.
+//!
 //! Synchronisation contract: the table tracks the [`LiveState`] generation
 //! counter. Drive/background syncs, explicit refreshes and the periodic
 //! exact refresh all bump it, and the table answers by refilling from
@@ -42,7 +67,7 @@
 
 use crate::batch::BatchedLiveState;
 use crate::live::{LiveState, RateContext};
-use crate::rates::rate_from_parts;
+use crate::rates::{rate_from_parts, rate_from_parts_branchfree};
 use crate::system::{Direction, TunnelEvent, TunnelSystem};
 use se_numeric::partial_sum::PartialSumTree;
 use se_units::constants::E;
@@ -91,15 +116,63 @@ impl<'a> EvalParams<'a> {
         let self_energy = self.self_energies[j];
         (phi_gap + self_energy, self_energy - phi_gap)
     }
+}
 
-    /// One directed rate — the `fill_rates` cutoff-then-kernel expression.
-    #[inline]
-    fn rate(&self, j: usize, df: f64) -> f64 {
-        if df > self.cutoff {
-            0.0
-        } else {
-            rate_from_parts(df, self.prefactors[j], self.kt, self.inv_kt)
+/// The rate pass: overwrites each ΔF in `window` with its directed rate —
+/// the `fill_rates` cutoff-then-kernel expression, bit for bit. For
+/// `kt > 0` the kernel is [`rate_from_parts_branchfree`] (bitwise equal to
+/// [`rate_from_parts`]) followed by the `ΔF > cutoff → 0` select, so the
+/// loop is straight-line arithmetic over two contiguous slices and
+/// auto-vectorizes; `kt = 0` runs the same loop over the branchy kernel,
+/// whose zero-temperature limit is a sign test anyway.
+fn window_rates(window: &mut [f64], prefactors: &[f64], kt: f64, inv_kt: f64, cutoff: f64) {
+    debug_assert_eq!(window.len(), prefactors.len());
+    if kt > 0.0 {
+        for (slot, &prefactor) in window.iter_mut().zip(prefactors) {
+            let delta_f = *slot;
+            let rate = rate_from_parts_branchfree(delta_f, prefactor, kt, inv_kt);
+            *slot = if delta_f > cutoff { 0.0 } else { rate };
         }
+    } else {
+        for (slot, &prefactor) in window.iter_mut().zip(prefactors) {
+            let delta_f = *slot;
+            let rate = rate_from_parts(delta_f, prefactor, kt, inv_kt);
+            *slot = if delta_f > cutoff { 0.0 } else { rate };
+        }
+    }
+}
+
+/// Contiguous scratch for the events whose rate a pass must evaluate: the
+/// compacted ΔF (overwritten in place by its rate), the junction prefactor
+/// and the tree leaf, one slot per directed event. Sized for every event
+/// so a refill fits, and written branch-free: each candidate is stored at
+/// the cursor, and the cursor advances only if the candidate is kept. The
+/// scatter compacts the leaf column once more, in place, down to the
+/// leaves whose bits changed.
+#[derive(Debug, Clone)]
+struct Window {
+    values: Vec<f64>,
+    prefactors: Vec<f64>,
+    leaves: Vec<u32>,
+}
+
+impl Window {
+    fn new(events: usize) -> Self {
+        Window {
+            values: vec![0.0; events],
+            prefactors: vec![0.0; events],
+            leaves: vec![0; events],
+        }
+    }
+
+    /// Stores directed event `leaf` at cursor `n` and returns the cursor,
+    /// advanced past it if `keep`.
+    #[inline(always)]
+    fn stage(&mut self, n: usize, leaf: usize, delta_f: f64, prefactor: f64, keep: bool) -> usize {
+        self.values[n] = delta_f;
+        self.prefactors[n] = prefactor;
+        self.leaves[n] = leaf as u32;
+        n + usize::from(keep)
     }
 }
 
@@ -116,9 +189,8 @@ struct TableCore {
     /// junction — axpy-updated between refills, recomputed exactly from the
     /// live potentials at every refill.
     df: Vec<f64>,
-    /// Leaf indices whose rate bits changed this event (always ascending:
-    /// the strong list is sorted).
-    changed: Vec<u32>,
+    /// The events whose rates the current pass evaluates.
+    window: Window,
     /// The live-state generation the table was last filled against.
     seen_generation: u64,
 }
@@ -128,31 +200,85 @@ impl TableCore {
         TableCore {
             tree: PartialSumTree::new(2 * junctions),
             df: vec![0.0; 2 * junctions],
-            changed: Vec::new(),
+            window: Window::new(2 * junctions),
             seen_generation: 0,
         }
     }
 
+    /// Passes 2 and 3 over the first `n` staged events: evaluates their
+    /// rates in one contiguous [`window_rates`] loop, writes each into its
+    /// leaf, and brings the tree up to date. Past ~1/8 of the leaves (or
+    /// when `rebuild` is forced) a branch-free sequential rebuild is
+    /// cheaper than the scattered partial fix-up; the two produce
+    /// bit-identical nodes (the tree's recompute-never-adjust contract),
+    /// so the switch is invisible to totals, selections and traces, and
+    /// only the fix-up needs to know which leaves changed.
+    fn evaluate_window(&mut self, n: usize, p: &EvalParams, rebuild: bool) {
+        let window = &mut self.window;
+        window_rates(
+            &mut window.values[..n],
+            &window.prefactors[..n],
+            p.kt,
+            p.inv_kt,
+            p.cutoff,
+        );
+        if rebuild || 8 * n >= self.tree.len() {
+            for (&leaf, &rate) in window.leaves[..n].iter().zip(&window.values[..n]) {
+                self.tree.set_leaf(leaf as usize, rate);
+            }
+            self.tree.rebuild();
+            return;
+        }
+        // Branch-free like the staging: the leaf indices whose bits
+        // changed are compacted in place to the front of `window.leaves`.
+        // Staging order is ascending leaf order, so that prefix is sorted,
+        // as `update_leaves` requires.
+        let mut changed = 0;
+        for i in 0..n {
+            let leaf = window.leaves[i];
+            let rate = window.values[i];
+            let old = self.tree.leaf(leaf as usize);
+            self.tree.set_leaf(leaf as usize, rate);
+            window.leaves[changed] = leaf;
+            changed += usize::from(rate.to_bits() != old.to_bits());
+        }
+        self.tree.update_leaves(&window.leaves[..changed]);
+    }
+
     /// Full refill: recompute every ΔF and rate from the live potentials
     /// and rebuild the tree — the table twin of an exact potential refresh.
+    /// Every leaf is zeroed and only in-window events are staged, so the
+    /// rates come from the same [`window_rates`] pass as an event update.
     fn refill(&mut self, p: &EvalParams, generation: u64) {
+        let mut n = 0;
         for j in 0..self.df.len() / 2 {
             let (df_ab, df_ba) = p.deltas(j);
+            let prefactor = p.prefactors[j];
             self.df[2 * j] = df_ab;
             self.df[2 * j + 1] = df_ba;
-            self.tree.set_leaf(2 * j, p.rate(j, df_ab));
-            self.tree.set_leaf(2 * j + 1, p.rate(j, df_ba));
+            self.tree.set_leaf(2 * j, 0.0);
+            self.tree.set_leaf(2 * j + 1, 0.0);
+            n = self
+                .window
+                .stage(n, 2 * j, df_ab, prefactor, df_ab <= p.cutoff);
+            n = self
+                .window
+                .stage(n, 2 * j + 1, df_ba, prefactor, df_ba <= p.cutoff);
         }
-        self.tree.rebuild();
+        self.evaluate_window(n, p, true);
         self.seen_generation = generation;
     }
 
     /// Post-event maintenance. If the live state refreshed (or synced)
-    /// under us, refill from the fresh potentials; otherwise one axpy over
-    /// the fired junction's strong list — ΔF shifts by the build-time
-    /// coupling constant, the Boltzmann kernel is recomputed only for the
-    /// shifted events (a frozen event past the cutoff costs one compare),
-    /// and the tree is fixed up along the changed leaves.
+    /// under us, refill from the fresh potentials; otherwise three passes
+    /// over the fired junction's strong list:
+    ///
+    /// 1. the axpy — every listed ΔF shifts by its build-time coupling
+    ///    constant — fused with the branch-free compaction of the events
+    ///    that need a rate into the contiguous window;
+    /// 2. one vectorized rate loop over the window;
+    /// 3. the scatter of the new rates into the tree leaves, followed by
+    ///    the tree update.
     fn apply_event(
         &mut self,
         system: &TunnelSystem,
@@ -165,39 +291,27 @@ impl TableCore {
             self.refill(p, generation);
             return;
         }
-        self.changed.clear();
         let strong = system.junction_strong_couplings(fired);
         let values = system.junction_strong_coupling_values(fired);
+        let mut n = 0;
         for (&j, &g) in strong.iter().zip(values) {
             let j = j as usize;
             let shift = sign * g;
+            let prefactor = p.prefactors[j];
             let df_ab = self.df[2 * j] + shift;
             let df_ba = self.df[2 * j + 1] - shift;
             self.df[2 * j] = df_ab;
             self.df[2 * j + 1] = df_ba;
-            let rate_ab = p.rate(j, df_ab);
-            let rate_ba = p.rate(j, df_ba);
-            if rate_ab.to_bits() != self.tree.leaf(2 * j).to_bits() {
-                self.tree.set_leaf(2 * j, rate_ab);
-                self.changed.push((2 * j) as u32);
-            }
-            if rate_ba.to_bits() != self.tree.leaf(2 * j + 1).to_bits() {
-                self.tree.set_leaf(2 * j + 1, rate_ba);
-                self.changed.push((2 * j + 1) as u32);
-            }
+            // An event needs a rate if it is inside the frozen cutoff, or
+            // if it still holds a non-zero leaf (it just froze, and the
+            // leaf must drop to 0.0). A frozen event whose leaf is already
+            // zero keeps it verbatim and costs nothing past this compare.
+            let keep_ab = (df_ab <= p.cutoff) | (self.tree.leaf(2 * j).to_bits() != 0);
+            let keep_ba = (df_ba <= p.cutoff) | (self.tree.leaf(2 * j + 1).to_bits() != 0);
+            n = self.window.stage(n, 2 * j, df_ab, prefactor, keep_ab);
+            n = self.window.stage(n, 2 * j + 1, df_ba, prefactor, keep_ba);
         }
-        // Past ~1/8 of the leaves the scattered partial fix-up costs more
-        // than one branch-free sequential rebuild; the two produce
-        // bit-identical nodes (the tree's recompute-never-adjust contract),
-        // so the switch is invisible to totals, selections and traces.
-        if 8 * self.changed.len() >= self.tree.len() {
-            self.tree.rebuild();
-        } else {
-            // Pushed in ascending strong-list order — already sorted.
-            let changed = std::mem::take(&mut self.changed);
-            self.tree.update_leaves(&changed);
-            self.changed = changed;
-        }
+        self.evaluate_window(n, p, false);
     }
 
     fn select(&self, target: f64) -> usize {
@@ -487,7 +601,9 @@ impl RateContext {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rates::{MAX_EXPONENT, SERIES_WINDOW};
     use crate::system::{ChargeState, TunnelSystemBuilder};
+    use proptest::prelude::*;
 
     /// Two-island chain with a gate (the `live` module's test circuit).
     fn chain(vd: f64, vg: f64) -> TunnelSystem {
@@ -503,6 +619,97 @@ mod tests {
         b.capacitor("Cg0", gate, i0, 0.3e-18);
         b.capacitor("Cg1", gate, i1, 0.5e-18);
         b.build().unwrap()
+    }
+
+    /// The per-event `fill_rates` expression the window pass must
+    /// reproduce: the frozen-cutoff compare, then the branchy kernel.
+    fn reference_rate(delta_f: f64, prefactor: f64, kt: f64, inv_kt: f64, cutoff: f64) -> f64 {
+        if delta_f > cutoff {
+            0.0
+        } else {
+            rate_from_parts(delta_f, prefactor, kt, inv_kt)
+        }
+    }
+
+    /// `value` moved `steps` ulps (towards +∞ for positive `steps`).
+    fn ulps_from(value: f64, steps: i64) -> f64 {
+        (0..steps.unsigned_abs()).fold(value, |v, _| {
+            if steps > 0 {
+                v.next_up()
+            } else {
+                v.next_down()
+            }
+        })
+    }
+
+    /// Kernel-cascade boundaries in ΔF at thermal energy `kt`: the frozen
+    /// cutoff, the `±MAX_EXPONENT` overflow guards and the series window
+    /// (each both as a ΔF product and as the `x = ΔF·inv_kt` threshold it
+    /// implies), and both signed zeros.
+    fn boundaries(kt: f64, inv_kt: f64, cutoff: f64) -> Vec<f64> {
+        let from_x = |x: f64| if inv_kt > 0.0 { x / inv_kt } else { 0.0 };
+        vec![
+            cutoff,
+            -cutoff,
+            from_x(MAX_EXPONENT),
+            from_x(-MAX_EXPONENT),
+            MAX_EXPONENT * kt,
+            -MAX_EXPONENT * kt,
+            from_x(SERIES_WINDOW),
+            from_x(-SERIES_WINDOW),
+            SERIES_WINDOW * kt,
+            -SERIES_WINDOW * kt,
+            0.0,
+            -0.0,
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The contiguous window pass against the per-event reference, bit
+        /// for bit: ΔF drawn on and within four ulps of every boundary of
+        /// the cascade, plus uniform draws across the whole thermal range,
+        /// at T = 0 and four finite temperatures. Batch lengths vary so
+        /// both the vectorized body and the scalar remainder are covered.
+        #[test]
+        fn prop_window_pass_matches_the_reference_rate_bit_for_bit(
+            temperature_index in 0usize..5,
+            draws in proptest::collection::vec(0_usize..1_000_000, 1..70),
+            spreads in proptest::collection::vec(-1.0_f64..1.0, 70),
+        ) {
+            let temperature = [0.0, 0.02, 0.1, 4.2, 300.0][temperature_index];
+            let ctx = RateContext::new(&chain(2e-3, 0.05), temperature).unwrap();
+            let (kt, inv_kt, cutoff) = (ctx.kt(), ctx.inv_kt(), ctx.frozen_cutoff());
+            let anchors = boundaries(kt, inv_kt, cutoff);
+            // At T = 0 the thermal scale vanishes; spread over meV instead.
+            let energy_scale = if kt > 0.0 { kt } else { 1e-22 };
+            let mut delta_fs = Vec::with_capacity(draws.len());
+            let mut prefactors = Vec::with_capacity(draws.len());
+            for (&draw, &spread) in draws.iter().zip(&spreads) {
+                let slot = draw % (anchors.len() + 1);
+                let delta_f = match anchors.get(slot) {
+                    Some(&anchor) => ulps_from(anchor, (draw / 16 % 9) as i64 - 4),
+                    None => spread * 2.0 * MAX_EXPONENT * energy_scale,
+                };
+                delta_fs.push(delta_f);
+                prefactors.push(ctx.prefactors()[draw % ctx.prefactors().len()]);
+            }
+            let mut window = delta_fs.clone();
+            window_rates(&mut window, &prefactors, kt, inv_kt, cutoff);
+            for ((&rate, &delta_f), &prefactor) in window.iter().zip(&delta_fs).zip(&prefactors) {
+                let expected = reference_rate(delta_f, prefactor, kt, inv_kt, cutoff);
+                prop_assert_eq!(
+                    rate.to_bits(),
+                    expected.to_bits(),
+                    "T = {} K, ΔF = {:e}: window {:e} vs reference {:e}",
+                    temperature,
+                    delta_f,
+                    rate,
+                    expected
+                );
+            }
+        }
     }
 
     fn assert_table_matches_fill(

@@ -340,8 +340,11 @@ impl RateContext {
         self.inv_kt
     }
 
-    /// The frozen-event ΔF cutoff `MAX_EXPONENT · kT`.
-    pub(crate) fn frozen_cutoff(&self) -> f64 {
+    /// The frozen-event ΔF cutoff `MAX_EXPONENT · kT`, in joule: every
+    /// event whose ΔF lies above it has rate exactly `0.0` in
+    /// [`RateContext::fill_rates`] and in the incremental event tables.
+    #[must_use]
+    pub fn frozen_cutoff(&self) -> f64 {
         self.frozen_cutoff
     }
 

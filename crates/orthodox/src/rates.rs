@@ -18,8 +18,8 @@ use crate::error::OrthodoxError;
 use se_units::constants::{BOLTZMANN, E};
 
 /// Relative width of the `ΔF → 0` series-expansion window, in units of
-/// `k_B·T`.
-const SERIES_WINDOW: f64 = 1e-9;
+/// `k_B·T` (crate-visible so kernel-equivalence tests can probe its edge).
+pub(crate) const SERIES_WINDOW: f64 = 1e-9;
 
 /// Exponent beyond which the Boltzmann suppression is treated as exact zero
 /// to avoid overflow in `exp` (crate-visible so the hot-path rate table can

@@ -279,6 +279,75 @@ proptest! {
     }
 }
 
+/// The rate every maintained table leaf must hold for its maintained ΔF:
+/// the frozen-cutoff compare, then the shared orthodox kernel.
+fn kernel_rate(ctx: &RateContext, event: usize, delta_f: f64) -> f64 {
+    if delta_f > ctx.frozen_cutoff() {
+        0.0
+    } else {
+        ctx.event_rate(event / 2, delta_f)
+    }
+}
+
+/// Window compaction never drops an event: over random circuits and
+/// random event walks at 0.1 K (most events frozen past the cutoff) and
+/// 4.2 K (most inside the Boltzmann window), after every single event
+/// each leaf of the scalar table and of a batched lane equals the kernel
+/// applied to that event's maintained ΔF. Events that leave the window
+/// while still holding a non-zero rate are counted, so the walk provably
+/// exercises the path where a kept-for-its-leaf event must drop to zero.
+#[test]
+fn event_table_leaves_track_the_kernel_of_their_maintained_delta_f() {
+    let mut rng = proptest::TestRng::deterministic("window_compaction");
+    for temperature in [0.1, 4.2] {
+        let mut left_window_with_rate = 0;
+        for _ in 0..24 {
+            let circuit = ArbCircuit.sample(&mut rng);
+            let islands = circuit.gate_caps.len();
+            let system = circuit.build();
+            let replicas = 2;
+            let batch_ctx = BatchedRateContext::new(&system, temperature, replicas).unwrap();
+            let ctx = batch_ctx.context();
+            let mut live = LiveState::new(&system, ChargeState::neutral(islands));
+            let mut table = EventRateTable::new(&system, ctx, &live);
+            let mut batch =
+                BatchedLiveState::new(&system, ChargeState::neutral(islands), replicas).unwrap();
+            let mut lane = BatchedEventRateTable::new(&system, ctx, &batch, 1);
+            for _ in 0..400 {
+                let event = system.event(rng.below(system.event_count() as u64) as usize);
+                let before: Vec<f64> = (0..table.event_count()).map(|e| table.rate(e)).collect();
+                live.apply(&system, event);
+                table.apply_event(&system, ctx, &live, event);
+                batch.apply(&system, event, 1);
+                lane.apply_event(&system, ctx, &batch, event);
+                for (e, &rate_before) in before.iter().enumerate() {
+                    let scalar_expected = kernel_rate(ctx, e, table.delta_f(e));
+                    assert_eq!(
+                        table.rate(e).to_bits(),
+                        scalar_expected.to_bits(),
+                        "T = {temperature} K: scalar leaf {e} (ΔF {:e}) is stale",
+                        table.delta_f(e)
+                    );
+                    let lane_expected = kernel_rate(ctx, e, lane.delta_f(e));
+                    assert_eq!(
+                        lane.rate(e).to_bits(),
+                        lane_expected.to_bits(),
+                        "T = {temperature} K: lane leaf {e} (ΔF {:e}) is stale",
+                        lane.delta_f(e)
+                    );
+                    if rate_before != 0.0 && table.delta_f(e) > ctx.frozen_cutoff() {
+                        left_window_with_rate += 1;
+                    }
+                }
+            }
+        }
+        assert!(
+            left_window_with_rate > 0,
+            "T = {temperature} K: no event left the window holding a non-zero rate"
+        );
+    }
+}
+
 /// Frozen-cutoff reclassification mid-run: deep in Coulomb blockade at low
 /// temperature, the axpy-maintained ΔF of individual events crosses the
 /// frozen cutoff in both directions between refills. The table must hard-
