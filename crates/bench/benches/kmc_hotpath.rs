@@ -4,13 +4,13 @@
 //!
 //! Besides the criterion timings it writes `BENCH_kmc.json` at the
 //! workspace root with events/sec for both loops, the measured speedup,
-//! the batched-ensemble aggregate throughput at N = 16 replicas (and its
-//! ratio over running the same replicas sequentially — same seeds, same
-//! event counts, both sides measured by the shared `se_bench::kmc`
-//! harness), the lane-group multi-core numbers (32 replicas sharded into
+//! the aggregate throughput of N = 16 seed replicas run one after another,
+//! the lane-group multi-core numbers (32 scalar replicas sharded into
 //! width-8 groups on the se-exec pool, measured at 1 worker and at
 //! min(4, hardware) workers, with `hardware_threads` recorded so
-//! single-core runners are never mistaken for 4-core measurements), and
+//! single-core runners are never mistaken for 4-core measurements) and
+//! their ratios over the sequential aggregate — same seeding, same event
+//! counts, both sides measured by the shared `se_bench::kmc` harness — and
 //! the states/sec of a master-equation solve an order of magnitude beyond
 //! the old dense-LU state limit, so CI can track the hot path over time.
 //! The kernel-scaling record also carries one 2-D point: the incremental
@@ -32,22 +32,17 @@ use std::time::Instant;
 const ISLANDS: usize = 8;
 /// Measured events per sample.
 const EVENTS: usize = 50_000;
-/// Lockstep replicas in the batched-ensemble record (the issue pins the
-/// comparison at N = 16).
+/// Replicas in the sequential-baseline record (pinned at N = 16).
 const REPLICAS: usize = 16;
-/// Measured events *per replica* in the batched-vs-sequential comparison —
-/// smaller than the scalar record's sample so one sample stays ~100 ms,
-/// but identical on both sides of the ratio.
-const BATCH_EVENTS: usize = 20_000;
+/// Measured events *per replica* in the lane-group-vs-sequential
+/// comparison — smaller than the scalar record's sample so one sample
+/// stays ~100 ms, but identical on both sides of the ratio.
+const REPLICA_EVENTS: usize = 20_000;
 /// Replicas per lane group in the multi-core measurement: the deck
-/// executor's default width. Narrower groups lose lockstep-round
-/// amortization (a width-4 batch runs well below scalar speed), so the
-/// multi-core record keeps full-width groups and scales the *replica
-/// count* instead to get schedulable parallelism.
+/// executor's default width.
 const LANE_WIDTH: usize = 8;
 /// Replicas in the lane-group measurement: 4 full-width groups, so the
-/// min(4, hardware)-worker measurement can actually use 4 cores while
-/// every group keeps the width the SoA engine is efficient at.
+/// min(4, hardware)-worker measurement can actually use 4 cores.
 const LANE_REPLICAS: usize = 32;
 /// Drain bias: far enough above the chain's Coulomb threshold that events
 /// flow steadily at every gate phase.
@@ -174,18 +169,6 @@ fn kmc_hotpath(c: &mut Criterion) {
     group.bench_function("chain8_50k_events_full_recompute", |b| {
         b.iter(|| black_box(run_full_recompute_loop(&system, EVENTS, 1)));
     });
-    group.bench_function("chain8_16x20k_events_batched", |b| {
-        b.iter(|| {
-            black_box(kmc::run_batched(
-                &system,
-                TEMPERATURE,
-                1,
-                REPLICAS,
-                0,
-                BATCH_EVENTS,
-            ))
-        });
-    });
     group.finish();
 
     let mut master_group = c.benchmark_group("master_sparse");
@@ -203,19 +186,15 @@ fn kmc_hotpath(c: &mut Criterion) {
     let baseline = kmc::best_events_per_sec(EVENTS as u64, 5, |seed| {
         run_full_recompute_loop(&system, EVENTS, seed)
     });
-    // Batched-ensemble record: the lockstep engine at N = 16 against the
-    // same 16 replicas (same derived seeds, same event counts) run one at
-    // a time on the scalar engine. Both sides go through the shared
-    // `se_bench::kmc` harness so the ratio compares measurement-identical
+    // Sequential baseline: 16 seed replicas run one at a time on the
+    // scalar engine, through the shared `se_bench::kmc` harness like the
+    // lane groups below, so the ratios compare measurement-identical
     // loops.
-    let batch_total = (REPLICAS * BATCH_EVENTS) as u64;
-    let sequential_aggregate = kmc::best_events_per_sec(batch_total, 3, |seed| {
-        kmc::run_sequential_replicas(&system, TEMPERATURE, seed, REPLICAS, 0, BATCH_EVENTS)
+    let sequential_total = (REPLICAS * REPLICA_EVENTS) as u64;
+    let sequential_aggregate = kmc::best_events_per_sec(sequential_total, 3, |seed| {
+        kmc::run_sequential_replicas(&system, TEMPERATURE, seed, REPLICAS, 0, REPLICA_EVENTS)
     });
-    let batched_aggregate = kmc::best_events_per_sec(batch_total, 3, |seed| {
-        kmc::run_batched(&system, TEMPERATURE, seed, REPLICAS, 0, BATCH_EVENTS)
-    });
-    // Multi-core lane-group record: 32 replicas sharded into width-8
+    // Multi-core lane-group record: 32 scalar replicas sharded into width-8
     // groups on the se-exec pool (4 schedulable items of the deck
     // executor's default width), at 1 worker and at min(4, hardware)
     // workers. Both numbers are honest wall-clock on *this* machine; the
@@ -224,7 +203,7 @@ fn kmc_hotpath(c: &mut Criterion) {
     // a 4-core measurement.
     let hardware_threads = std::thread::available_parallelism().map_or(1, usize::from);
     let bench_worker_threads = hardware_threads.min(4);
-    let lane_total = (LANE_REPLICAS * BATCH_EVENTS) as u64;
+    let lane_total = (LANE_REPLICAS * REPLICA_EVENTS) as u64;
     let lane_groups_1 = kmc::best_events_per_sec(lane_total, 3, |seed| {
         kmc::run_lane_groups(
             &system,
@@ -233,7 +212,7 @@ fn kmc_hotpath(c: &mut Criterion) {
             LANE_REPLICAS,
             LANE_WIDTH,
             0,
-            BATCH_EVENTS,
+            REPLICA_EVENTS,
             1,
         )
     });
@@ -245,7 +224,7 @@ fn kmc_hotpath(c: &mut Criterion) {
             LANE_REPLICAS,
             LANE_WIDTH,
             0,
-            BATCH_EVENTS,
+            REPLICA_EVENTS,
             bench_worker_threads,
         )
     });
@@ -301,18 +280,17 @@ fn kmc_hotpath(c: &mut Criterion) {
          \"events_per_sec_incremental\": {incremental:.1},\n  \
          \"events_per_sec_full_recompute\": {baseline:.1},\n  \
          \"speedup\": {:.2},\n  \
-         \"batched_replicas\": {REPLICAS},\n  \
-         \"batched_events_per_replica\": {BATCH_EVENTS},\n  \
-         \"batched_events_per_sec_aggregate\": {batched_aggregate:.1},\n  \
+         \"sequential_replicas\": {REPLICAS},\n  \
+         \"events_per_replica\": {REPLICA_EVENTS},\n  \
          \"sequential_events_per_sec_aggregate\": {sequential_aggregate:.1},\n  \
          \"lane_width\": {LANE_WIDTH},\n  \
          \"lane_replicas\": {LANE_REPLICAS},\n  \
          \"hardware_threads\": {hardware_threads},\n  \
          \"bench_worker_threads\": {bench_worker_threads},\n  \
-         \"batched_events_per_sec_1_thread\": {lane_groups_1:.1},\n  \
-         \"batched_events_per_sec_multi_thread\": {lane_groups_multi:.1},\n  \
-         \"batched_speedup_vs_sequential_1_thread\": {:.3},\n  \
-         \"batched_speedup_vs_sequential\": {:.3},\n\
+         \"lane_group_events_per_sec_1_thread\": {lane_groups_1:.1},\n  \
+         \"lane_group_events_per_sec_multi_thread\": {lane_groups_multi:.1},\n  \
+         \"lane_group_speedup_vs_sequential_1_thread\": {:.3},\n  \
+         \"lane_group_speedup_vs_sequential\": {:.3},\n\
          {sweep_json}  \
          \"events_per_sec_array16x16\": {array_tree:.1},\n  \
          \"large_n_speedup\": {large_n_speedup:.2},\n  \

@@ -1,10 +1,9 @@
 //! Criterion bench: kinetic Monte-Carlo event throughput on the reference
-//! SET and on multi-island chains, including the batched lockstep engine.
+//! SET and on multi-island chains.
 //!
 //! All measurement loops come from the shared [`se_bench::kmc`] harness —
 //! the same code `kmc_hotpath` uses for its BENCH_kmc.json record — so the
-//! single-replica and batched numbers here are directly comparable to the
-//! tracked hot-path figures.
+//! numbers here are directly comparable to the tracked hot-path figures.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use se_bench::{chain_system, kmc, reference_system};
@@ -25,20 +24,6 @@ fn kmc_throughput(c: &mut Criterion) {
             |b, &islands| {
                 let system = chain_system(islands, 1e-3, 0.08);
                 b.iter(|| black_box(kmc::run_scalar(&system, 1.0, 2, 100, 2_000)));
-            },
-        );
-    }
-
-    // The batched lockstep engine on the same chain fixtures: 16 replicas
-    // advanced together, seeds derived per replica exactly as the scalar
-    // sequential baseline derives them.
-    for islands in [2usize, 4] {
-        group.bench_with_input(
-            BenchmarkId::new("chain_16x2k_events_batched", islands),
-            &islands,
-            |b, &islands| {
-                let system = chain_system(islands, 1e-3, 0.08);
-                b.iter(|| black_box(kmc::run_batched(&system, 1.0, 2, 16, 100, 2_000)));
             },
         );
     }

@@ -66,7 +66,6 @@ struct Args {
     quiet: bool,
     progress: bool,
     plan_only: bool,
-    scalar_ensemble: bool,
     lane_width: Option<usize>,
 }
 
@@ -93,9 +92,6 @@ fn usage() -> &'static str {
      --progress        throttled per-analysis progress lines on stderr\n\
      --quiet           errors only: no tables, no warnings, no chatter\n\
      --plan            compile and report the plan, don't run\n\
-     --scalar-ensemble run .options repeats= ensembles through the per-seed\n\
-     \u{20}                 scalar loop instead of the batched engine (the\n\
-     \u{20}                 results are bit-identical; used by the CI gate)\n\
      --lane-width N    replicas per ensemble lane group (default 8): each\n\
      \u{20}                 bias point's repeats shard into ceil(repeats/N)\n\
      \u{20}                 work items on the shared pool; the published\n\
@@ -126,7 +122,6 @@ fn parse_args(mut argv: std::env::Args) -> Result<Args, String> {
         quiet: false,
         progress: false,
         plan_only: false,
-        scalar_ensemble: false,
         lane_width: None,
     };
     while let Some(arg) = argv.next() {
@@ -166,7 +161,6 @@ fn parse_args(mut argv: std::env::Args) -> Result<Args, String> {
             "--quiet" => args.quiet = true,
             "--progress" => args.progress = true,
             "--plan" => args.plan_only = true,
-            "--scalar-ensemble" => args.scalar_ensemble = true,
             "--lane-width" => {
                 let n = argv.next().ok_or("--lane-width needs a width")?;
                 let n: usize = n
@@ -396,7 +390,6 @@ fn exec_options(args: &Args, label: String) -> ExecOptions {
         csv: args.csv.clone(),
         label: Some(label),
         cancel: None,
-        scalar_ensemble: args.scalar_ensemble,
         lane_width: args.lane_width,
     }
 }

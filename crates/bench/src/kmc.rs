@@ -1,7 +1,7 @@
 //! Shared kinetic Monte-Carlo bench harness.
 //!
 //! One place that builds, runs and times the scalar incremental engine and
-//! the batched lockstep engine, so `benches/kmc_throughput.rs` and
+//! its lane groups, so `benches/kmc_throughput.rs` and
 //! `benches/kmc_hotpath.rs` measure the *same* loops instead of each
 //! reconstructing its own copy.
 
@@ -84,10 +84,10 @@ pub fn run_scalar_with_kernel(
 }
 
 /// Runs `events` measured events on each of `replicas` sequential scalar
-/// simulators with the batched engine's per-replica seed contract
-/// (replica `k` gets [`derive_seed`]`(base_seed, k)`) and returns the
-/// aggregate `(events executed, summed simulated seconds)` — the
-/// one-replica-at-a-time baseline the batched engine is measured against.
+/// simulators with the lane groups' per-replica seed contract (replica `k`
+/// gets [`derive_seed`]`(base_seed, k)`) and returns the aggregate
+/// `(events executed, summed simulated seconds)` — the single-worker
+/// baseline the lane-group scheduling is measured against.
 ///
 /// # Panics
 ///
@@ -117,53 +117,24 @@ pub fn run_sequential_replicas(
     (total_events, total_time)
 }
 
-/// Runs `events` measured events on each of `replicas` lockstep replicas
-/// of the batched engine and returns the aggregate
-/// `(events executed, summed simulated seconds)`. Replica `k` is
-/// bit-identical to the scalar run with seed
-/// [`derive_seed`]`(base_seed, k)`.
-///
-/// # Panics
-///
-/// Panics if the engine rejects the system or the run fails.
-#[must_use]
-pub fn run_batched(
-    system: &TunnelSystem,
-    temperature: f64,
-    base_seed: u64,
-    replicas: usize,
-    equilibration: usize,
-    events: usize,
-) -> (u64, f64) {
-    let options = SimulationOptions::new(temperature).with_equilibration(equilibration);
-    let mut batch = BatchedKmcEngine::from_base_seed(system.clone(), options, replicas, base_seed)
-        .expect("valid bench system");
-    let results = batch.run_events_all(events).expect("batched run succeeds");
-    let total_events = results.iter().map(se_montecarlo::RunResult::events).sum();
-    let total_time = results
-        .iter()
-        .map(se_montecarlo::RunResult::total_time)
-        .sum();
-    (total_events, total_time)
-}
-
-/// Runs `replicas` batched lockstep replicas sharded into lane groups of
-/// `lane_width` — each group one work item on an se-exec job capped at
-/// `workers` workers, exactly the deck executor's ensemble geometry — and
-/// returns the aggregate `(events executed, summed simulated seconds)`.
-/// Replica `k` keeps the [`derive_seed`]`(base_seed, k)` contract whatever
-/// the width or worker count, so every replica walk is bit-identical to
-/// [`run_batched`] and [`run_sequential_replicas`]; the summed simulated
-/// time is reduction-order deterministic per width (groups reduce in index
-/// order), identical for every worker count.
+/// Runs `replicas` scalar replicas sharded into lane groups of
+/// `lane_width` — each group one [`BatchedKmcEngine`] work item on an
+/// se-exec job capped at `workers` workers, exactly the deck executor's
+/// ensemble geometry — and returns the aggregate
+/// `(events executed, summed simulated seconds)`. Replica `k` keeps the
+/// [`derive_seed`]`(base_seed, k)` contract whatever the width or worker
+/// count, so every replica walk is bit-identical to
+/// [`run_sequential_replicas`]; the summed simulated time is
+/// reduction-order deterministic per width (groups reduce in index order),
+/// identical for every worker count.
 ///
 /// # Panics
 ///
 /// Panics if the engine rejects the system or a run fails.
 #[must_use]
 // Bench harness entry point: the argument list mirrors the sibling
-// `run_batched`/`run_sequential_replicas` signatures plus the two
-// scheduling knobs under measurement.
+// `run_sequential_replicas` signature plus the two scheduling knobs under
+// measurement.
 #[allow(clippy::too_many_arguments)]
 pub fn run_lane_groups(
     system: &TunnelSystem,
@@ -284,9 +255,11 @@ mod tests {
 
     #[test]
     fn batched_and_sequential_replicas_agree_bit_for_bit() {
+        // One lane group holding every replica sums in replica order, just
+        // like the sequential loop.
         let system = chain_system(2, 0.15, crate::REFERENCE_C_GATE);
         let (seq_events, seq_time) = run_sequential_replicas(&system, 0.1, 9, 4, 0, 500);
-        let (batch_events, batch_time) = run_batched(&system, 0.1, 9, 4, 0, 500);
+        let (batch_events, batch_time) = run_lane_groups(&system, 0.1, 9, 4, 4, 0, 500, 1);
         assert_eq!(seq_events, batch_events);
         assert_eq!(seq_time.to_bits(), batch_time.to_bits());
     }
@@ -294,7 +267,7 @@ mod tests {
     #[test]
     fn lane_group_runs_match_the_flat_batch_for_every_width_and_worker_count() {
         let system = chain_system(2, 0.15, crate::REFERENCE_C_GATE);
-        let (flat_events, flat_time) = run_batched(&system, 0.1, 9, 6, 0, 300);
+        let (flat_events, flat_time) = run_sequential_replicas(&system, 0.1, 9, 6, 0, 300);
         for width in [1, 2, 4, 6, 8] {
             for workers in [1, 4] {
                 let (events, time) = run_lane_groups(&system, 0.1, 9, 6, width, 0, 300, workers);

@@ -47,6 +47,11 @@ impl fmt::Display for GridError {
 
 impl std::error::Error for GridError {}
 
+/// The most points a deck grid may hold: a `.dc` sweep axis or a `.tran`
+/// sample grid whose step would exceed this many intervals is refused up
+/// front instead of allocating until the process dies.
+pub const MAX_GRID_POINTS: usize = 2_000_000;
+
 /// Generates `points` evenly spaced values covering `[start, stop]`.
 ///
 /// Ascending (`start < stop`) and descending (`start > stop`) ranges are
@@ -95,7 +100,8 @@ pub fn linspace(start: f64, stop: f64, points: usize) -> Result<Vec<f64>, GridEr
 /// # Errors
 ///
 /// Returns [`GridError::BadSampleTimes`] for a non-positive or non-finite
-/// step, or a stop time smaller than one step.
+/// step, a stop time smaller than one step, or a grid of more than
+/// [`MAX_GRID_POINTS`] steps.
 pub fn sample_times(step: f64, stop: f64) -> Result<Vec<f64>, GridError> {
     if !(step > 0.0) || !step.is_finite() {
         return Err(GridError::BadSampleTimes(format!(
@@ -107,7 +113,13 @@ pub fn sample_times(step: f64, stop: f64) -> Result<Vec<f64>, GridError> {
             "stop must be at least one step, got {stop} with step {step}"
         )));
     }
-    let steps = (stop / step).round() as usize;
+    let count = stop / step;
+    if count > MAX_GRID_POINTS as f64 {
+        return Err(GridError::BadSampleTimes(format!(
+            "step {step} up to {stop} would give {count:.3e} steps (more than {MAX_GRID_POINTS})"
+        )));
+    }
+    let steps = count.round() as usize;
     Ok((0..=steps).map(|i| i as f64 * step).collect())
 }
 
@@ -157,6 +169,20 @@ mod tests {
         ));
         assert!(linspace(f64::NAN, 1.0, 5).is_err());
         assert!(linspace(0.0, f64::INFINITY, 5).is_err());
+    }
+
+    #[test]
+    fn sample_grids_past_the_point_cap_are_refused() {
+        // The step count saturates `usize` long before 1e300 / 1e-9, so
+        // the cap has to be checked on the floating-point quotient.
+        for stop in [1e300, 1.0] {
+            assert!(
+                matches!(sample_times(1e-9, stop), Err(GridError::BadSampleTimes(_))),
+                "stop {stop}"
+            );
+        }
+        let at_cap = sample_times(1.0, MAX_GRID_POINTS as f64).unwrap();
+        assert_eq!(at_cap.len(), MAX_GRID_POINTS + 1);
     }
 
     #[test]

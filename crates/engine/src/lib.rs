@@ -47,11 +47,9 @@ pub mod runner;
 pub mod transient;
 pub mod waveform;
 
-pub use grid::{linspace, sample_times, validate_sample_times, GridError};
+pub use grid::{linspace, sample_times, validate_sample_times, GridError, MAX_GRID_POINTS};
 pub use runner::{derive_seed, StabilityMap, SweepPoint, SweepRunner};
-pub use transient::{
-    QuasiStatic, Scenario, TransientEngine, TransientRunner, TransientTrace, ENSEMBLE_CHUNK,
-};
+pub use transient::{QuasiStatic, Scenario, TransientEngine, TransientRunner, TransientTrace};
 pub use waveform::{Waveform, WaveformError};
 
 /// Typed handle to a swept control (an electrode or voltage source),
@@ -111,41 +109,6 @@ pub trait StationaryEngine: Sync {
             .copied()
             .expect("stationary_currents returns one value per observable"))
     }
-
-    /// Solves `seeds.len()` statistically independent repeats of the *same*
-    /// bias point — a seed ensemble — returning one observable row per
-    /// seed, in seed order.
-    ///
-    /// The default implementation loops [`Self::stationary_currents`] once
-    /// per seed; engines with a batched ensemble path (the kinetic
-    /// Monte-Carlo engine steps all replicas in lockstep over SoA-packed
-    /// state) override it together with
-    /// [`Self::has_batched_stationary_ensemble`]. Overrides must keep the
-    /// ensemble contract: row `k` is **bit-identical** to
-    /// `stationary_currents(controls, observables, seeds[k])`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first failing solve.
-    fn stationary_currents_ensemble(
-        &self,
-        controls: &[(ControlId, f64)],
-        observables: &[ObservableId],
-        seeds: &[u64],
-    ) -> Result<Vec<Vec<f64>>, Self::Error> {
-        seeds
-            .iter()
-            .map(|&seed| self.stationary_currents(controls, observables, seed))
-            .collect()
-    }
-
-    /// Whether [`Self::stationary_currents_ensemble`] runs replicas through
-    /// a genuinely batched engine (`true`) or the default per-seed loop
-    /// (`false`). Ensemble consumers use this to decide whether grouping
-    /// repeats into one call buys anything.
-    fn has_batched_stationary_ensemble(&self) -> bool {
-        false
-    }
 }
 
 impl<E: StationaryEngine + ?Sized> StationaryEngine for &E {
@@ -170,18 +133,5 @@ impl<E: StationaryEngine + ?Sized> StationaryEngine for &E {
         seed: u64,
     ) -> Result<Vec<f64>, Self::Error> {
         (**self).stationary_currents(controls, observables, seed)
-    }
-
-    fn stationary_currents_ensemble(
-        &self,
-        controls: &[(ControlId, f64)],
-        observables: &[ObservableId],
-        seeds: &[u64],
-    ) -> Result<Vec<Vec<f64>>, Self::Error> {
-        (**self).stationary_currents_ensemble(controls, observables, seeds)
-    }
-
-    fn has_batched_stationary_ensemble(&self) -> bool {
-        (**self).has_batched_stationary_ensemble()
     }
 }

@@ -77,44 +77,6 @@ pub trait TransientEngine: Sync {
         times: &[f64],
         seed: u64,
     ) -> Result<TransientTrace, Self::Error>;
-
-    /// Runs `seeds.len()` statistically independent repeats of the *same*
-    /// transient scenario — a seed ensemble — returning one trace per seed,
-    /// in seed order.
-    ///
-    /// The default implementation loops [`Self::transient_currents`] once
-    /// per seed; engines with a batched ensemble path (the kinetic
-    /// Monte-Carlo engine steps all replicas in lockstep over SoA-packed
-    /// state) override it together with
-    /// [`Self::has_batched_transient_ensemble`]. Overrides must keep the
-    /// ensemble contract: trace `k` is **bit-identical** to
-    /// `transient_currents(drives, observables, times, seeds[k])`, so
-    /// routing an ensemble through the batch never changes a published
-    /// number.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first failing run.
-    fn transient_currents_ensemble(
-        &self,
-        drives: &[(ControlId, Waveform)],
-        observables: &[ObservableId],
-        times: &[f64],
-        seeds: &[u64],
-    ) -> Result<Vec<TransientTrace>, Self::Error> {
-        seeds
-            .iter()
-            .map(|&seed| self.transient_currents(drives, observables, times, seed))
-            .collect()
-    }
-
-    /// Whether [`Self::transient_currents_ensemble`] runs replicas through
-    /// a genuinely batched engine (`true`) or the default per-seed loop
-    /// (`false`). [`TransientRunner::run_repeats`] uses this to decide
-    /// whether to group repeats into batched ensemble calls.
-    fn has_batched_transient_ensemble(&self) -> bool {
-        false
-    }
 }
 
 impl<E: TransientEngine + ?Sized> TransientEngine for &E {
@@ -140,20 +102,6 @@ impl<E: TransientEngine + ?Sized> TransientEngine for &E {
         seed: u64,
     ) -> Result<TransientTrace, Self::Error> {
         (**self).transient_currents(drives, observables, times, seed)
-    }
-
-    fn transient_currents_ensemble(
-        &self,
-        drives: &[(ControlId, Waveform)],
-        observables: &[ObservableId],
-        times: &[f64],
-        seeds: &[u64],
-    ) -> Result<Vec<TransientTrace>, Self::Error> {
-        (**self).transient_currents_ensemble(drives, observables, times, seeds)
-    }
-
-    fn has_batched_transient_ensemble(&self) -> bool {
-        (**self).has_batched_transient_ensemble()
     }
 }
 
@@ -422,14 +370,8 @@ impl TransientRunner {
     /// each repeat explores a different event sequence; for a deterministic
     /// engine all repeats are identical.
     ///
-    /// When the engine advertises a batched ensemble path
-    /// ([`TransientEngine::has_batched_transient_ensemble`]), repeats are
-    /// grouped into lockstep batches of [`ENSEMBLE_CHUNK`] replicas that
-    /// share one SoA-packed system walk, and the batches still fan out
-    /// across cores. Repeat `k` always runs with seed
-    /// [`crate::derive_seed`]`(ensemble_seed, k)` — the identical seed the
-    /// per-repeat loop would use — and the batched engines' bit-identity
-    /// contract makes the routing invisible in the results.
+    /// Repeat `k` runs with seed [`crate::derive_seed`]`(ensemble_seed, k)`,
+    /// and the traces come back in repeat order.
     ///
     /// # Errors
     ///
@@ -449,29 +391,11 @@ impl TransientRunner {
             .collect();
         let resolved = Self::resolve_drives(engine, &owned)?;
         let observables = Self::resolve_observables(engine, observables)?;
-        if engine.has_batched_transient_ensemble() && repeats > 1 {
-            let batches = repeats.div_ceil(ENSEMBLE_CHUNK);
-            let grouped = map_indexed(self.seed, self.parallel, None, batches, |index, _| {
-                let lo = index * ENSEMBLE_CHUNK;
-                let hi = (lo + ENSEMBLE_CHUNK).min(repeats);
-                let seeds: Vec<u64> = (lo..hi)
-                    .map(|repeat| derive_seed(self.seed, repeat as u64))
-                    .collect();
-                engine.transient_currents_ensemble(&resolved, &observables, times, &seeds)
-            })?;
-            return Ok(grouped.into_iter().flatten().collect());
-        }
         map_indexed(self.seed, self.parallel, self.chunk, repeats, |_, seed| {
             engine.transient_currents(&resolved, &observables, times, seed)
         })
     }
 }
-
-/// How many repeats [`TransientRunner::run_repeats`] packs into one batched
-/// ensemble call when the engine has a lockstep path — chosen to match the
-/// replica count the batched KMC hot path is benchmarked at (and small
-/// enough that batches of a large ensemble still fan out across cores).
-pub const ENSEMBLE_CHUNK: usize = 16;
 
 /// Lifts any [`StationaryEngine`] into a [`TransientEngine`] by
 /// quasi-static sampling: at every sample time the drives are evaluated

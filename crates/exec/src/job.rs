@@ -154,9 +154,9 @@ impl JobSpec {
 
 /// Number of lane groups `replicas` ensemble replicas split into at lane
 /// width `width`: the geometry ensemble jobs use to shard one bias point's
-/// replica set into multiple schedulable work items (each group runs as
-/// one SIMD-friendly lockstep batch on the shared pool). `width` is
-/// clamped to at least 1.
+/// replica set into multiple schedulable work items (each group runs its
+/// replicas one after another on one worker of the shared pool). `width`
+/// is clamped to at least 1.
 #[must_use]
 pub fn lane_group_count(replicas: usize, width: usize) -> usize {
     replicas.div_ceil(width.max(1))

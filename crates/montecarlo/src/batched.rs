@@ -1,145 +1,30 @@
-//! Batched ensemble kinetic Monte-Carlo: N replicas of one system stepped
-//! in lockstep on the struct-of-arrays hot path.
+//! Lane groups: a few seed replicas of one system, each a scalar
+//! [`MonteCarloSimulator`].
 //!
-//! A [`BatchedKmcEngine`] owns N independent Gillespie walks of the *same*
-//! [`TunnelSystem`] — the ensemble shape behind seed repeats, stationary
-//! statistics and noise estimates. The physics state lives in a
-//! [`BatchedLiveState`] / [`BatchedRateContext`] pair (see
-//! [`se_orthodox::batch`]), so every lockstep round evaluates all replicas'
-//! rates in one junction-major pass over the shared per-junction columns
-//! instead of N cache-cold scalar walks.
-//!
-//! Randomness stays strictly per replica: each lane owns its own `StdRng`,
-//! seeded via the se-exec discipline ([`se_engine::derive_seed`] of a base
-//! seed and the replica index in [`BatchedKmcEngine::from_base_seed`]).
-//! Combined with the bit-identity contract of the SoA state (same f64
-//! operations in the same order as the scalar [`LiveState`] path) this
-//! makes replica `k` **bit-identical** to a standalone
-//! [`MonteCarloSimulator`] running seed `k` — same event sequence, same
-//! times, same transfer counters — which is what lets the ensemble layers
-//! swap the batched engine in for a loop of scalar runs without changing a
-//! single published number.
-//!
-//! Frozen replicas (total rate zero — deep blockade at zero temperature)
-//! retire from the lockstep front without stalling the batch: the remaining
-//! lanes keep stepping through subset rate fills, and a retired lane costs
-//! nothing until a drive change thaws it.
-//!
-//! [`LiveState`]: se_orthodox::LiveState
-//! [`MonteCarloSimulator`]: crate::MonteCarloSimulator
+//! A [`BatchedKmcEngine`] is the unit of work the deck executor's lane-group
+//! scheduling hands to one worker: replica `k` is exactly
+//! `MonteCarloSimulator::new(system.clone(), options with seed seeds[k])`,
+//! run to completion before replica `k + 1` starts. Every replica is
+//! therefore bit-identical to a standalone stationary solve with its seed —
+//! same event sequence, same clock, same transfer counters — and the
+//! published ensemble tables do not depend on how replicas are grouped.
 
 use crate::error::MonteCarloError;
-use crate::kmc::{select_event_from, select_with_target, SimulationOptions};
+use crate::kmc::{MonteCarloSimulator, SimulationOptions};
 use crate::observables::RunResult;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use se_engine::derive_seed;
-use se_numeric::sampling::{
-    exponential_waiting_time, ln_unit, unit_interval_open, validate_waiting_rate,
-};
-use se_orthodox::{
-    BatchedEventRateTable, BatchedLiveState, BatchedRateContext, ChargeState, Direction,
-    TunnelEvent, TunnelSystem,
-};
-use se_units::constants::E;
-use std::collections::HashMap;
+use se_orthodox::TunnelSystem;
 
-/// What one replica did during a [`BatchedKmcEngine::step_and_observe`]
-/// round.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ReplicaObservation {
-    /// Replica index within the batch.
-    pub replica: usize,
-    /// The replica's simulation clock after the round, in seconds.
-    pub time: f64,
-    /// The tunnel event the replica executed, or `None` if it is frozen.
-    pub event: Option<TunnelEvent>,
-    /// Whether the replica is frozen (no event has a non-zero rate).
-    pub frozen: bool,
-    /// Number of excess electrons per island after the round.
-    pub electrons: Vec<i64>,
-}
-
-/// N lockstep replicas of one [`TunnelSystem`], advanced by kinetic
-/// Monte-Carlo over SoA-packed state.
-///
-/// The mutate-then-run protocol matches the scalar
-/// [`MonteCarloSimulator`]: change drives through [`Self::system_mut`]
-/// (the change applies to every replica — the batch shares one system),
-/// then step; pending changes fold into each lane lazily at its next step,
-/// exactly when the scalar engine would fold them.
-///
-/// [`MonteCarloSimulator`]: crate::MonteCarloSimulator
+/// One scalar simulator per replica seed of a lane group, all over the
+/// same [`TunnelSystem`] and options.
 #[derive(Debug, Clone)]
 pub struct BatchedKmcEngine {
-    system: TunnelSystem,
-    options: SimulationOptions,
-    /// One independent RNG per replica — the batch never shares randomness.
-    rngs: Vec<StdRng>,
-    /// SoA charge states and cached potentials, one lane per replica.
-    live: BatchedLiveState,
-    /// Shared rate table + batched fill over the potential planes.
-    rate_ctx: BatchedRateContext,
-    /// Per-lane incremental rate tables + selection trees; present iff the
-    /// kernel resolves to the tree path ([`KmcKernel::uses_tree`], so
-    /// [`KmcKernel::Auto`] picks it for large circuits). Lane `r`'s table
-    /// runs the identical maintenance code as a scalar [`EventRateTable`]
-    /// over lane `r`'s potential plane, so its rates — and selections — are
-    /// bit-identical to a standalone incremental simulator.
-    ///
-    /// [`KmcKernel::uses_tree`]: crate::kmc::KmcKernel::uses_tree
-    /// [`KmcKernel::Auto`]: crate::kmc::KmcKernel::Auto
-    /// [`EventRateTable`]: se_orthodox::EventRateTable
-    tables: Option<Vec<BatchedEventRateTable>>,
-    /// Event-major rate planes: `rates[e * replicas + r]`. Only the
-    /// full-recompute path ([`crate::kmc::KmcKernel::FullRecompute`])
-    /// writes it.
-    rates: Vec<f64>,
-    /// Per-replica total rates, accumulated in scalar junction order.
-    totals: Vec<f64>,
-    /// Per-replica pending-drive flags: set for every lane by
-    /// [`Self::system_mut`], cleared lane-by-lane as each joins a step
-    /// front (the scalar engine's lazy `sync_drives`, per lane).
-    drives_dirty: Vec<bool>,
-    times: Vec<f64>,
-    /// Replica-major transfer counters: `net_transfers[r * junctions + j]`.
-    net_transfers: Vec<i64>,
-    events_executed: Vec<u64>,
-    frozen: Vec<bool>,
-    /// Scratch: the replicas taking part in the current lockstep round.
-    front: Vec<usize>,
-    /// Scratch: per-round outcomes `(replica, executed event or frozen)`.
-    round: Vec<(usize, Option<TunnelEvent>)>,
-    /// Per-event decode table for the branchless apply phase:
-    /// `[from_slot, to_slot]` per canonical event index (slots per
-    /// [`BatchedLiveState::endpoint_slot`] — island index or the spill
-    /// slot).
-    event_slots: Vec<[usize; 2]>,
-    /// Scratch: per-replica selection targets drawn in the RNG phase.
-    targets: Vec<f64>,
-    /// Scratch: per-replica waiting-time uniforms of the current round —
-    /// the RNG pass fills this plane serially (RNG streams are per-lane
-    /// state), the clock pass consumes it branch-free.
-    wait_u: Vec<f64>,
-    /// Scratch: per-replica selection uniforms of the current round, drawn
-    /// immediately after the waiting-time uniform to preserve the scalar
-    /// per-lane draw order.
-    sel_u: Vec<f64>,
-    /// Scratch: per-replica running prefix sums of the mask-select pass.
-    select_acc: Vec<f64>,
-    /// Scratch: per-replica hit masks — bit `e` set when event `e` has a
-    /// positive rate and its prefix sum exceeds the replica's target.
-    select_hits: Vec<u64>,
-    /// Scratch: per-replica chosen event indices of the current round.
-    chosen: Vec<usize>,
+    replicas: Vec<MonteCarloSimulator>,
 }
 
 impl BatchedKmcEngine {
-    /// Creates a batch with one replica per entry of `seeds`, every lane
+    /// Creates a group with one replica per entry of `seeds`, every replica
     /// starting from the charge-neutral state. `options.seed` is ignored —
-    /// the batch's randomness is fully determined by `seeds` (replica `r`
-    /// is bit-identical to a standalone scalar simulator built with
-    /// `options.with_seed(seeds[r])`).
+    /// replica `k` runs with `seeds[k]`.
     ///
     /// # Errors
     ///
@@ -152,777 +37,47 @@ impl BatchedKmcEngine {
     ) -> Result<Self, MonteCarloError> {
         if seeds.is_empty() {
             return Err(MonteCarloError::InvalidArgument(
-                "a batch needs at least one replica seed".into(),
+                "a lane group needs at least one replica seed".into(),
             ));
         }
-        if options.temperature < 0.0 || !options.temperature.is_finite() {
-            return Err(MonteCarloError::InvalidArgument(format!(
-                "temperature must be non-negative and finite, got {}",
-                options.temperature
-            )));
-        }
-        let replicas = seeds.len();
-        let islands = system.island_count();
-        let junctions = system.junctions().len();
-        let rate_ctx = BatchedRateContext::new(&system, options.temperature, replicas)?;
-        let live = BatchedLiveState::new(&system, ChargeState::neutral(islands), replicas)?;
-        let event_slots = (0..system.event_count())
-            .map(|e| {
-                let (from, to) = system.event_endpoints(system.event(e));
-                [live.endpoint_slot(from), live.endpoint_slot(to)]
+        let replicas = seeds
+            .iter()
+            .map(|&seed| {
+                MonteCarloSimulator::new(
+                    system.clone(),
+                    SimulationOptions {
+                        seed: Some(seed),
+                        ..options
+                    },
+                )
             })
-            .collect();
-        let tables = options.kernel.uses_tree(system.event_count()).then(|| {
-            (0..replicas)
-                .map(|r| BatchedEventRateTable::new(&system, rate_ctx.context(), &live, r))
-                .collect()
-        });
-        Ok(BatchedKmcEngine {
-            system,
-            options,
-            rngs: seeds.iter().map(|&s| StdRng::seed_from_u64(s)).collect(),
-            live,
-            rate_ctx,
-            tables,
-            rates: vec![0.0; 2 * junctions * replicas],
-            totals: vec![0.0; replicas],
-            drives_dirty: vec![false; replicas],
-            times: vec![0.0; replicas],
-            net_transfers: vec![0; junctions * replicas],
-            events_executed: vec![0; replicas],
-            frozen: vec![false; replicas],
-            front: Vec::with_capacity(replicas),
-            round: Vec::with_capacity(replicas),
-            event_slots,
-            targets: vec![0.0; replicas],
-            wait_u: vec![0.0; replicas],
-            sel_u: vec![0.0; replicas],
-            select_acc: vec![0.0; replicas],
-            select_hits: vec![0; replicas],
-            chosen: vec![0; replicas],
-        })
+            .collect::<Result<_, _>>()?;
+        Ok(BatchedKmcEngine { replicas })
     }
 
-    /// [`Self::new`] with the se-exec seed discipline: replica `r` is
-    /// seeded with [`derive_seed`]`(base_seed, r)`, so an ensemble job that
-    /// derives per-repeat seeds from one base seed gets the identical
-    /// per-replica streams whether it loops scalar simulators or runs this
-    /// batch.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MonteCarloError::InvalidArgument`] for `replicas == 0` or
-    /// an invalid temperature.
-    pub fn from_base_seed(
-        system: TunnelSystem,
-        options: SimulationOptions,
-        replicas: usize,
-        base_seed: u64,
-    ) -> Result<Self, MonteCarloError> {
-        let seeds: Vec<u64> = (0..replicas as u64)
-            .map(|r| derive_seed(base_seed, r))
-            .collect();
-        Self::new(system, options, &seeds)
-    }
-
-    /// Number of replicas in the batch.
-    #[must_use]
-    pub fn replicas(&self) -> usize {
-        self.totals.len()
-    }
-
-    /// The shared tunnel system being simulated.
-    #[must_use]
-    pub fn system(&self) -> &TunnelSystem {
-        &self.system
-    }
-
-    /// The options the batch was created with.
-    #[must_use]
-    pub fn options(&self) -> &SimulationOptions {
-        &self.options
-    }
-
-    /// Mutable access to the shared tunnel system — a drive or background
-    /// change applies to **every** replica and is folded into each lane
-    /// lazily at its next step, exactly like the scalar engine's
-    /// mutate-then-run protocol.
-    pub fn system_mut(&mut self) -> &mut TunnelSystem {
-        self.drives_dirty.fill(true);
-        &mut self.system
-    }
-
-    /// Replica `r`'s simulation clock in seconds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r` is out of range.
-    #[must_use]
-    pub fn time(&self, r: usize) -> f64 {
-        self.times[r]
-    }
-
-    /// Whether replica `r` is frozen (its last step found no executable
-    /// event).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r` is out of range.
-    #[must_use]
-    pub fn is_frozen(&self, r: usize) -> bool {
-        self.frozen[r]
-    }
-
-    /// Replica `r`'s net a→b electron transfers per junction (indexed like
-    /// [`TunnelSystem::junctions`]) since the counters were last reset.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r` is out of range.
-    #[must_use]
-    pub fn net_transfers(&self, r: usize) -> &[i64] {
-        let junctions = self.system.junctions().len();
-        &self.net_transfers[r * junctions..(r + 1) * junctions]
-    }
-
-    /// Number of events replica `r` has executed since the counters were
-    /// last reset.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r` is out of range.
-    #[must_use]
-    pub fn events_executed(&self, r: usize) -> u64 {
-        self.events_executed[r]
-    }
-
-    /// Replica `r`'s current charge state (a strided gather — meant for
-    /// observation, not the hot loop).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r` is out of range.
-    #[must_use]
-    pub fn state(&self, r: usize) -> ChargeState {
-        self.live.charge_state(r)
-    }
-
-    /// Resets every replica's time, transfer counters and event counter,
-    /// keeping the current charge states (used after equilibration and
-    /// between sweep points) — the batch-wide
-    /// [`MonteCarloSimulator::reset_counters`].
-    ///
-    /// [`MonteCarloSimulator::reset_counters`]:
-    ///     crate::MonteCarloSimulator::reset_counters
-    pub fn reset_counters_all(&mut self) {
-        self.times.fill(0.0);
-        self.events_executed.fill(0);
-        self.frozen.fill(false);
-        self.net_transfers.fill(0);
-    }
-
-    /// Rebuilds the lockstep front from a per-replica keep mask.
-    fn rebuild_front(&mut self, keep: &[bool]) {
-        self.front.clear();
-        self.front
-            .extend(keep.iter().enumerate().filter_map(|(r, &k)| k.then_some(r)));
-    }
-
-    /// One lockstep round over the replicas currently in `self.front`:
-    /// sync pending drive changes into each lane, fill all lanes' rates in
-    /// one batched pass (the full-batch fast path when every replica is on
-    /// the front, a subset fill otherwise), then draw each lane's waiting
-    /// time and event from its own RNG and apply it. Outcomes land in
-    /// `self.round` as `(replica, Some(event))` or `(replica, None)` for a
-    /// lane that froze this round.
-    ///
-    /// Per replica this performs the exact scalar
-    /// [`MonteCarloSimulator::step`] sequence — sync, fill, freeze test,
-    /// waiting-time draw, selection draw, apply — so lane `r`'s state and
-    /// RNG stream stay bit-identical to a standalone simulator.
-    ///
-    /// [`MonteCarloSimulator::step`]: crate::MonteCarloSimulator::step
-    fn step_front(&mut self) -> Result<(), MonteCarloError> {
-        let replicas = self.replicas();
-        let junctions = self.system.junctions().len();
-        for idx in 0..self.front.len() {
-            let r = self.front[idx];
-            if self.drives_dirty[r] {
-                self.live.sync_replica(&self.system, r);
-                self.drives_dirty[r] = false;
-            }
-        }
-        if let Some(tables) = &mut self.tables {
-            // Incremental kernel: each lane's table is kept fresh by its
-            // post-apply maintenance; `sync` folds in any pending
-            // generation change (drive sync above, periodic refresh) and
-            // the tree root is the lane's total.
-            for idx in 0..self.front.len() {
-                let r = self.front[idx];
-                tables[r].sync(&self.system, self.rate_ctx.context(), &self.live);
-                self.totals[r] = tables[r].total();
-            }
-        } else if self.front.len() == replicas {
-            self.rate_ctx.fill_rates_batch(
-                &self.system,
-                &self.live,
-                &mut self.rates,
-                &mut self.totals,
-            );
-        } else {
-            self.rate_ctx.fill_rates_subset(
-                &self.system,
-                &self.live,
-                &mut self.rates,
-                &mut self.totals,
-                &self.front,
-            );
-        }
-        self.round.clear();
-        for idx in 0..self.front.len() {
-            let r = self.front[idx];
-            let total = self.totals[r];
-            if total <= 0.0 {
-                self.frozen[r] = true;
-                self.round.push((r, None));
-                continue;
-            }
-            let rng = &mut self.rngs[r];
-            let dt = exponential_waiting_time(rng, total)?;
-            let chosen = match &self.tables {
-                Some(tables) => {
-                    let target = rng.gen::<f64>() * total;
-                    tables[r].select(target)
-                }
-                None => {
-                    let lane = self.rates[r..].iter().step_by(replicas).copied();
-                    select_event_from(rng, lane, total)
-                }
-            };
-            let event = self.system.event(chosen);
-            self.live.apply(&self.system, event, r);
-            if let Some(tables) = &mut self.tables {
-                tables[r].apply_event(&self.system, self.rate_ctx.context(), &self.live, event);
-            }
-            self.times[r] += dt;
-            self.events_executed[r] += 1;
-            match event.direction {
-                Direction::AToB => self.net_transfers[r * junctions + event.junction] += 1,
-                Direction::BToA => self.net_transfers[r * junctions + event.junction] -= 1,
-            }
-            self.frozen[r] = false;
-            self.round.push((r, Some(event)));
-        }
-        Ok(())
-    }
-
-    /// Advances every replica through up to `rounds` full-front lockstep
-    /// rounds — the branch-light fast path behind [`Self::equilibrate_all`]
-    /// and [`Self::run_events_all`]. Skips the front/round machinery
-    /// entirely: one batched fill, then a tight per-replica
-    /// draw–select–apply loop. Returns `true` when all `rounds` completed
-    /// with every replica stepping; `false` as soon as any replica froze,
-    /// or immediately when a pending drive change or an already-frozen
-    /// lane needs the general front path (callers finish there — the
-    /// per-lane state and RNG streams are bit-identical either way).
-    ///
-    /// `tracker` holds replica-major occupation planes with one spill slot
-    /// per replica after the islands (`occupation[r * (islands + 1) + i]`,
-    /// ditto `segments`) updated with the scalar occupation-tracker
-    /// arithmetic when present; the spill entries absorb the unconditional
-    /// external-endpoint settles and are never read back.
-    ///
-    /// Each round runs four passes instead of one interleaved per-replica
-    /// loop: a per-lane RNG pass filling the waiting-time and selection
-    /// uniform planes (the raw draws are the only serial work — RNG
-    /// streams are per-lane state), a branch-free clock pass evaluating
-    /// `dt = -ln_unit(u) / total` and the selection targets across the
-    /// whole plane with the polynomial log kernel
-    /// ([`se_numeric::sampling::ln_unit`] — vectorizable, no libm call),
-    /// a branch-free mask-select pass over the
-    /// event-major rate planes, and a table-driven apply pass. Sixteen
-    /// interleaved Gillespie walks are hostile to a branch predictor — the
-    /// scan/skip/endpoint branches of the scalar loop carry sixteen
-    /// independent histories — so the hot phases avoid data-dependent
-    /// branches entirely. The selections are still bit-identical: the
-    /// prefix sums include the zero rates the scalar scan skips, and adding
-    /// `+0.0` to a non-negative accumulation is the identity, so bit `e` of
-    /// a hit mask is set exactly when the scalar scan would have stopped at
-    /// (or passed) event `e`; the first set bit is the scalar choice, and
-    /// an empty mask falls back to the scalar round-off rule.
-    fn lockstep_rounds(
-        &mut self,
-        rounds: usize,
-        mut tracker: Option<(&mut [f64], &mut [f64])>,
-    ) -> Result<bool, MonteCarloError> {
-        if self.drives_dirty.iter().any(|&d| d) || self.frozen.iter().any(|&f| f) {
-            return Ok(false);
-        }
-        let replicas = self.replicas();
-        let junctions = self.system.junctions().len();
-        let islands = self.system.island_count();
-        // The mask select carries one bit per event; wider systems use the
-        // scalar scan per lane instead.
-        let mask_select = self.system.event_count() <= u64::BITS as usize;
-        for _ in 0..rounds {
-            if let Some(tables) = &mut self.tables {
-                // Incremental kernel: the per-lane tables were maintained
-                // by the previous round's post-apply pass; `sync` catches a
-                // periodic refresh, and totals come off the tree roots
-                // instead of a full junction-major refill.
-                for (table, total) in tables.iter_mut().zip(&mut self.totals) {
-                    table.sync(&self.system, self.rate_ctx.context(), &self.live);
-                    *total = table.total();
-                }
-            } else {
-                self.rate_ctx.fill_rates_batch(
-                    &self.system,
-                    &self.live,
-                    &mut self.rates,
-                    &mut self.totals,
-                );
-            }
-            // RNG pass: per lane, the exact scalar draw order — the
-            // guarded waiting-time uniform first, then the selection
-            // uniform. Only the draws happen here (RNG streams are
-            // serial per-lane state); the `ln` and the target scaling
-            // run in the vectorizable clock pass below.
-            let mut froze = false;
-            for r in 0..replicas {
-                let total = self.totals[r];
-                if total <= 0.0 {
-                    self.frozen[r] = true;
-                    froze = true;
-                    // u = 1 keeps the masked clock pass finite
-                    // (ln_unit(1) = 0); the NaN selection uniform
-                    // poisons the lane's mask so no hit bit can set.
-                    self.wait_u[r] = 1.0;
-                    self.sel_u[r] = f64::NAN;
-                    continue;
-                }
-                validate_waiting_rate(total)?;
-                let rng = &mut self.rngs[r];
-                self.wait_u[r] = unit_interval_open(rng);
-                self.sel_u[r] = rng.gen::<f64>();
-            }
-            // Clock pass: dt = -ln_unit(u) / total over the whole plane —
-            // the same expression `exponential_waiting_time` evaluates per
-            // scalar draw, so live lanes stay bit-identical — as pure
-            // elementwise arithmetic (polynomial ln, one divide, one
-            // select) that vectorizes across lanes. Frozen lanes
-            // contribute an exact zero.
-            for r in 0..replicas {
-                let total = self.totals[r];
-                let dt = -ln_unit(self.wait_u[r]) / total;
-                self.times[r] += if total > 0.0 { dt } else { 0.0 };
-                self.targets[r] = self.sel_u[r] * total;
-            }
-            // Select pass: per-lane O(log E) tree descent on the
-            // incremental kernel, branch-free prefix-sum-and-compare over
-            // the event-major planes otherwise.
-            if let Some(tables) = &self.tables {
-                for (r, table) in tables.iter().enumerate() {
-                    if self.totals[r] <= 0.0 {
-                        continue;
-                    }
-                    self.chosen[r] = table.select(self.targets[r]);
-                }
-            } else if mask_select {
-                self.select_acc.fill(0.0);
-                self.select_hits.fill(0);
-                let targets = &self.targets[..];
-                let select_acc = &mut self.select_acc[..];
-                let select_hits = &mut self.select_hits[..];
-                for (e, plane) in self.rates.chunks_exact(replicas).enumerate() {
-                    let bit = 1u64 << e;
-                    let lanes = plane
-                        .iter()
-                        .zip(select_acc.iter_mut())
-                        .zip(targets.iter())
-                        .zip(select_hits.iter_mut());
-                    for (((&w, acc), &target), hits) in lanes {
-                        *acc += w;
-                        let hit = (w > 0.0) & (target < *acc);
-                        *hits |= if hit { bit } else { 0 };
-                    }
-                }
-            }
-            // Resolve pass (full-recompute kernel only): each lane's chosen
-            // event from its hit mask (first set bit = the scalar scan's
-            // stop), the scalar scan on a mask miss (round-off fallback) or
-            // a wide system.
-            if self.tables.is_none() {
-                for r in 0..replicas {
-                    if self.totals[r] <= 0.0 {
-                        continue;
-                    }
-                    self.chosen[r] = if mask_select && self.select_hits[r] != 0 {
-                        self.select_hits[r].trailing_zeros() as usize
-                    } else {
-                        select_with_target(
-                            self.rates.chunks_exact(replicas).map(|plane| plane[r]),
-                            self.targets[r],
-                        )
-                    };
-                }
-            }
-            if froze {
-                // Rare: a lane froze this round. Finish the survivors one
-                // by one, then hand over to the general front path.
-                for r in 0..replicas {
-                    if self.totals[r] <= 0.0 {
-                        continue;
-                    }
-                    let chosen = self.chosen[r];
-                    let event = self.system.event(chosen);
-                    self.live.apply(&self.system, event, r);
-                    if let Some(tables) = &mut self.tables {
-                        tables[r].apply_event(
-                            &self.system,
-                            self.rate_ctx.context(),
-                            &self.live,
-                            event,
-                        );
-                    }
-                    self.bookkeep_event(chosen, r, &mut tracker, islands, junctions);
-                }
-                return Ok(false);
-            }
-            // Apply pass: every lane stepped, so the store-width-aware
-            // batched apply folds all lanes' events in at once, then each
-            // lane's incremental table (if any) folds its own event in —
-            // after the batch apply, so a lane whose periodic refresh just
-            // fired refills from the refreshed potentials, exactly like
-            // the scalar sequence.
-            self.live.apply_all(&self.system, &self.chosen);
-            for r in 0..replicas {
-                let chosen = self.chosen[r];
-                if let Some(tables) = &mut self.tables {
-                    let event = self.system.event(chosen);
-                    tables[r].apply_event(&self.system, self.rate_ctx.context(), &self.live, event);
-                }
-                self.bookkeep_event(chosen, r, &mut tracker, islands, junctions);
-            }
-        }
-        Ok(true)
-    }
-
-    /// Post-apply accounting for one executed event on lane `r`: event and
-    /// transfer counters plus, when a tracker is attached, the slot-based
-    /// occupation settle.
-    #[inline]
-    fn bookkeep_event(
-        &mut self,
-        chosen: usize,
-        r: usize,
-        tracker: &mut Option<(&mut [f64], &mut [f64])>,
-        islands: usize,
-        junctions: usize,
-    ) {
-        let j = chosen >> 1;
-        self.events_executed[r] += 1;
-        self.net_transfers[r * junctions + j] += 1 - 2 * (chosen as i64 & 1);
-        if let Some((occupation, segments)) = tracker.as_mut() {
-            settle_occupation_slots(
-                occupation,
-                segments,
-                r * (islands + 1),
-                self.event_slots[chosen],
-                &self.live,
-                r,
-                self.times[r],
-            );
-        }
-    }
-
-    /// Advances every non-retired replica by one tunnel event. Frozen
-    /// replicas stay retired (they cost nothing) unless a drive change is
-    /// pending, in which case they rejoin the front and may thaw — the
-    /// batch-wide equivalent of calling [`MonteCarloSimulator::step`] once
-    /// per replica. Returns the number of replicas that executed an event.
-    ///
-    /// [`MonteCarloSimulator::step`]: crate::MonteCarloSimulator::step
-    ///
-    /// # Errors
-    ///
-    /// Propagates waiting-time sampling errors (which cannot occur for the
-    /// finite, positive totals the fill establishes first).
-    pub fn step_all(&mut self) -> Result<usize, MonteCarloError> {
-        let keep: Vec<bool> = (0..self.replicas())
-            .map(|r| !self.frozen[r] || self.drives_dirty[r])
-            .collect();
-        self.rebuild_front(&keep);
-        if self.front.is_empty() {
-            return Ok(0);
-        }
-        self.step_front()?;
-        Ok(self.round.iter().filter(|(_, e)| e.is_some()).count())
-    }
-
-    /// [`Self::step_all`] returning what every replica did: executed event
-    /// (or frozen), clock, and post-step island occupation — the per-round
-    /// observable face of the batch for trace-style consumers.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`Self::step_all`] errors.
-    pub fn step_and_observe(&mut self) -> Result<Vec<ReplicaObservation>, MonteCarloError> {
-        self.step_all()?;
-        let stepped: HashMap<usize, Option<TunnelEvent>> = self.round.iter().copied().collect();
-        Ok((0..self.replicas())
-            .map(|r| ReplicaObservation {
-                replica: r,
-                time: self.times[r],
-                event: stepped.get(&r).copied().flatten(),
-                frozen: self.frozen[r],
-                electrons: self.live.charge_state(r).0,
-            })
-            .collect())
-    }
-
-    /// Runs the equilibration phase configured in the options on every
-    /// replica — each lane steps until it has executed
-    /// `equilibration_events` events or freezes, with frozen lanes
-    /// retiring from the front while the rest keep stepping — then resets
-    /// the observable counters, exactly like the scalar
-    /// [`MonteCarloSimulator::equilibrate`] per lane.
-    ///
-    /// [`MonteCarloSimulator::equilibrate`]:
-    ///     crate::MonteCarloSimulator::equilibrate
-    ///
-    /// # Errors
-    ///
-    /// Propagates step errors.
-    pub fn equilibrate_all(&mut self) -> Result<(), MonteCarloError> {
-        let goal = self.options.equilibration_events;
-        if goal > 0 {
-            let before = self.events_executed.clone();
-            if !self.lockstep_rounds(goal, None)? {
-                // General front path: lanes that already had their failed
-                // (frozen) attempt simply re-confirm and retire — a
-                // re-evaluation of an unchanged lane is bit-neutral.
-                let mut keep: Vec<bool> = (0..self.replicas())
-                    .map(|r| self.events_executed[r] - before[r] < goal as u64)
-                    .collect();
-                loop {
-                    self.rebuild_front(&keep);
-                    if self.front.is_empty() {
-                        break;
-                    }
-                    self.step_front()?;
-                    for idx in 0..self.round.len() {
-                        let (r, event) = self.round[idx];
-                        match event {
-                            Some(_) => {
-                                if self.events_executed[r] - before[r] >= goal as u64 {
-                                    keep[r] = false;
-                                }
-                            }
-                            None => keep[r] = false,
-                        }
-                    }
-                }
-            }
-        }
-        self.reset_counters_all();
-        Ok(())
-    }
-
-    /// Runs `events` measurement events on every replica (after batch-wide
-    /// equilibration) and returns one [`RunResult`] per replica — the
-    /// ensemble face of [`MonteCarloSimulator::run_events`]. A replica
-    /// that freezes retires early: its measurement simply ends there
-    /// (`RunResult::is_frozen` reports it) while the remaining lanes keep
-    /// stepping at full batch speed.
-    ///
-    /// [`MonteCarloSimulator::run_events`]:
-    ///     crate::MonteCarloSimulator::run_events
+    /// Runs [`MonteCarloSimulator::run_events`] on every replica in seed
+    /// order and returns one [`RunResult`] per replica. A replica that
+    /// freezes ends its measurement early (`RunResult::is_frozen` reports
+    /// it); the remaining replicas run their full budget.
     ///
     /// # Errors
     ///
     /// Returns [`MonteCarloError::InvalidArgument`] if `events == 0`, and
     /// propagates step errors.
     pub fn run_events_all(&mut self, events: usize) -> Result<Vec<RunResult>, MonteCarloError> {
-        if events == 0 {
-            return Err(MonteCarloError::InvalidArgument(
-                "a run needs at least one event".into(),
-            ));
-        }
-        self.equilibrate_all()?;
-        let islands = self.system.island_count();
-        let replicas = self.replicas();
-        // Replica-major occupation planes, the flat form of one scalar
-        // occupation tracker per lane (same arithmetic, same order), with
-        // one spill slot per replica after the islands so external
-        // endpoints settle unconditionally (see `lockstep_rounds`).
-        let stride = islands + 1;
-        let mut occupation = vec![0.0; stride * replicas];
-        let mut segments = vec![0.0; stride * replicas];
-        for r in 0..replicas {
-            segments[r * stride..(r + 1) * stride].fill(self.times[r]);
-        }
-        let before = self.events_executed.clone();
-        if !self.lockstep_rounds(events, Some((&mut occupation, &mut segments)))? {
-            let mut keep: Vec<bool> = (0..replicas)
-                .map(|r| self.events_executed[r] - before[r] < events as u64)
-                .collect();
-            loop {
-                self.rebuild_front(&keep);
-                if self.front.is_empty() {
-                    break;
-                }
-                self.step_front()?;
-                for idx in 0..self.round.len() {
-                    let (r, event) = self.round[idx];
-                    match event {
-                        Some(event) => {
-                            let (from, to) = self.system.event_endpoints(event);
-                            let slots =
-                                [self.live.endpoint_slot(from), self.live.endpoint_slot(to)];
-                            settle_occupation_slots(
-                                &mut occupation,
-                                &mut segments,
-                                r * stride,
-                                slots,
-                                &self.live,
-                                r,
-                                self.times[r],
-                            );
-                            if self.events_executed[r] - before[r] >= events as u64 {
-                                keep[r] = false;
-                            }
-                        }
-                        None => keep[r] = false,
-                    }
-                }
-            }
-        }
-        Ok((0..replicas)
-            .map(|r| {
-                let base = r * stride;
-                let time = self.times[r];
-                let occupation_time: Vec<f64> = (0..islands)
-                    .map(|i| {
-                        occupation[base + i]
-                            + self.live.electron_count(i, r) as f64 * (time - segments[base + i])
-                    })
-                    .collect();
-                self.collect_replica(r, occupation_time)
-            })
-            .collect())
+        self.replicas
+            .iter_mut()
+            .map(|replica| replica.run_events(events))
+            .collect()
     }
-
-    /// Advances every replica's event clock to at least `t` (absolute
-    /// simulation time, seconds) — the batch-wide
-    /// [`MonteCarloSimulator::run_until`]. A replica that freezes jumps
-    /// its clock directly to `t` and retires from the front; a later call
-    /// after the drive voltages change re-evaluates its rates, so frozen
-    /// lanes thaw as soon as an event becomes favourable.
-    ///
-    /// [`MonteCarloSimulator::run_until`]:
-    ///     crate::MonteCarloSimulator::run_until
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MonteCarloError::InvalidArgument`] for a non-finite
-    /// target time, and propagates step errors.
-    pub fn run_until_all(&mut self, t: f64) -> Result<(), MonteCarloError> {
-        if !t.is_finite() {
-            return Err(MonteCarloError::InvalidArgument(format!(
-                "target time must be finite, got {t}"
-            )));
-        }
-        let mut keep: Vec<bool> = self.times.iter().map(|&now| now < t).collect();
-        loop {
-            self.rebuild_front(&keep);
-            if self.front.is_empty() {
-                break;
-            }
-            self.step_front()?;
-            for idx in 0..self.round.len() {
-                let (r, event) = self.round[idx];
-                match event {
-                    Some(_) => {
-                        if self.times[r] >= t {
-                            keep[r] = false;
-                        }
-                    }
-                    None => {
-                        self.times[r] = t;
-                        keep[r] = false;
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Assembles replica `r`'s [`RunResult`] from its counters — the exact
-    /// scalar `collect` arithmetic on lane `r`'s slice.
-    fn collect_replica(&self, r: usize, occupation_time: Vec<f64>) -> RunResult {
-        let time = self.times[r];
-        let transfers = self.net_transfers(r);
-        let mut junction_currents = HashMap::new();
-        let mut junction_transfers = HashMap::new();
-        for (idx, junction) in self.system.junctions().iter().enumerate() {
-            let net = transfers[idx];
-            junction_transfers.insert(junction.name.clone(), net);
-            let current = if time > 0.0 {
-                // Electrons moving a→b carry conventional current b→a; report
-                // the conventional current in the a→b reference direction.
-                -E * net as f64 / time
-            } else {
-                0.0
-            };
-            junction_currents.insert(junction.name.clone(), current);
-        }
-        let mean_occupation = occupation_time
-            .iter()
-            .map(|&t| if time > 0.0 { t / time } else { 0.0 })
-            .collect();
-        RunResult::new(
-            time,
-            self.events_executed[r],
-            junction_currents,
-            junction_transfers,
-            mean_occupation,
-            self.frozen[r],
-        )
-    }
-}
-
-/// Settles the occupation segments an event's endpoints just closed — the
-/// scalar `OccupationTracker::record_endpoints` arithmetic on one replica's
-/// plane slice (`base = r · (islands + 1)`), addressed by endpoint *slot*
-/// so both updates run unconditionally: island slots get the exact scalar
-/// arithmetic (`live` supplies the **post-event** charges), external
-/// endpoints land in the spill slot at index `islands`, whose accumulated
-/// garbage is never read back.
-#[inline]
-fn settle_occupation_slots(
-    occupation: &mut [f64],
-    segments: &mut [f64],
-    base: usize,
-    slots: [usize; 2],
-    live: &BatchedLiveState,
-    r: usize,
-    t: f64,
-) {
-    let [from, to] = slots;
-    // The electron just left `from`: the segment that ended held n + 1.
-    let n_from = live.slot_electron_count(from, r);
-    occupation[base + from] += (n_from + 1) as f64 * (t - segments[base + from]);
-    segments[base + from] = t;
-    let n_to = live.slot_electron_count(to, r);
-    occupation[base + to] += (n_to - 1) as f64 * (t - segments[base + to]);
-    segments[base + to] = t;
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::MonteCarloSimulator;
+    use se_engine::derive_seed;
     use se_orthodox::TunnelSystemBuilder;
+    use se_units::constants::E;
 
     /// Symmetric SET at its conductance peak: gate charge = e/2.
     fn set_at_peak(vds: f64) -> TunnelSystem {
@@ -950,17 +105,20 @@ mod tests {
         b.build().unwrap()
     }
 
+    fn seeds(base_seed: u64, replicas: usize) -> Vec<u64> {
+        (0..replicas as u64)
+            .map(|k| derive_seed(base_seed, k))
+            .collect()
+    }
+
     #[test]
     fn replica_runs_match_standalone_simulators_bit_for_bit() {
         let options = SimulationOptions::new(1.0).with_equilibration(100);
-        let base_seed = 42;
-        let replicas = 5;
-        let mut batch =
-            BatchedKmcEngine::from_base_seed(set_at_peak(1e-3), options, replicas, base_seed)
-                .unwrap();
+        let seeds = seeds(42, 5);
+        let mut batch = BatchedKmcEngine::new(set_at_peak(1e-3), options, &seeds).unwrap();
         let batch_results = batch.run_events_all(2_000).unwrap();
-        for (r, batch_result) in batch_results.iter().enumerate() {
-            let seed = derive_seed(base_seed, r as u64);
+        assert_eq!(batch_results.len(), seeds.len());
+        for (r, (batch_result, &seed)) in batch_results.iter().zip(&seeds).enumerate() {
             let mut scalar =
                 MonteCarloSimulator::new(set_at_peak(1e-3), options.with_seed(seed)).unwrap();
             let scalar_result = scalar.run_events(2_000).unwrap();
@@ -974,7 +132,7 @@ mod tests {
                 scalar_result.junction_transfer("JD")
             );
             assert_eq!(batch_result.events(), scalar_result.events());
-            assert_eq!(batch.state(r), *scalar.state());
+            assert_eq!(batch.replicas[r].state(), scalar.state());
             let occ_batch = batch_result.mean_occupation(0).unwrap();
             let occ_scalar = scalar_result.mean_occupation(0).unwrap();
             assert_eq!(occ_batch.to_bits(), occ_scalar.to_bits());
@@ -982,59 +140,16 @@ mod tests {
     }
 
     #[test]
-    fn run_until_matches_standalone_clock_and_transfers() {
-        let options = SimulationOptions::new(1.0).with_equilibration(50);
-        let mut batch = BatchedKmcEngine::from_base_seed(set_at_peak(1e-3), options, 3, 7).unwrap();
-        batch.equilibrate_all().unwrap();
-        batch.run_until_all(10e-9).unwrap();
-        for r in 0..3 {
-            let seed = derive_seed(7, r as u64);
-            let mut scalar =
-                MonteCarloSimulator::new(set_at_peak(1e-3), options.with_seed(seed)).unwrap();
-            scalar.equilibrate().unwrap();
-            scalar.run_until(10e-9).unwrap();
-            assert_eq!(batch.time(r).to_bits(), scalar.time().to_bits());
-            assert_eq!(batch.net_transfers(r), scalar.net_transfers());
-        }
-    }
-
-    #[test]
     fn frozen_replicas_retire_without_stalling_the_batch() {
-        // Replica lanes share one system, so freeze together here — the
-        // point is that a frozen batch retires instead of spinning, and
-        // run_until jumps every clock to the target.
+        // A frozen replica ends its measurement at once instead of
+        // spinning, and reports itself frozen with no events.
         let options = SimulationOptions::new(0.0).with_equilibration(0);
-        let mut batch = BatchedKmcEngine::from_base_seed(blockaded(), options, 4, 3).unwrap();
-        assert_eq!(batch.step_all().unwrap(), 0, "no lane can step");
-        assert!((0..4).all(|r| batch.is_frozen(r)));
-        // Retired lanes cost nothing: another step_all touches no lane.
-        assert_eq!(batch.step_all().unwrap(), 0);
-        batch.run_until_all(5e-9).unwrap();
-        assert!((0..4).all(|r| batch.time(r) == 5e-9));
+        let mut batch = BatchedKmcEngine::new(blockaded(), options, &seeds(3, 4)).unwrap();
         let results = batch.run_events_all(100).unwrap();
+        assert_eq!(results.len(), 4);
         for result in &results {
             assert!(result.is_frozen());
             assert_eq!(result.events(), 0);
-        }
-        // A drive change thaws the whole batch.
-        batch.system_mut().set_external_voltage(0, 0.5).unwrap();
-        assert_eq!(batch.step_all().unwrap(), 4);
-        assert!((0..4).all(|r| !batch.is_frozen(r)));
-    }
-
-    #[test]
-    fn step_and_observe_reports_every_replica() {
-        let options = SimulationOptions::new(1.0).with_equilibration(0);
-        let mut batch =
-            BatchedKmcEngine::from_base_seed(set_at_peak(1e-3), options, 3, 11).unwrap();
-        let observations = batch.step_and_observe().unwrap();
-        assert_eq!(observations.len(), 3);
-        for (r, obs) in observations.iter().enumerate() {
-            assert_eq!(obs.replica, r);
-            assert!(obs.event.is_some());
-            assert!(!obs.frozen);
-            assert!(obs.time > 0.0);
-            assert_eq!(obs.electrons, batch.state(r).0);
         }
     }
 
@@ -1042,12 +157,10 @@ mod tests {
     fn rejects_empty_batches_and_bad_arguments() {
         let options = SimulationOptions::new(1.0);
         assert!(BatchedKmcEngine::new(set_at_peak(1e-3), options, &[]).is_err());
-        assert!(BatchedKmcEngine::from_base_seed(set_at_peak(1e-3), options, 0, 1).is_err());
         assert!(
             BatchedKmcEngine::new(set_at_peak(1e-3), SimulationOptions::new(-1.0), &[1]).is_err()
         );
-        let mut batch = BatchedKmcEngine::from_base_seed(set_at_peak(1e-3), options, 2, 1).unwrap();
+        let mut batch = BatchedKmcEngine::new(set_at_peak(1e-3), options, &[1, 2]).unwrap();
         assert!(batch.run_events_all(0).is_err());
-        assert!(batch.run_until_all(f64::NAN).is_err());
     }
 }

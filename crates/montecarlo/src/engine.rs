@@ -9,7 +9,6 @@
 //! randomness from the per-point seed handed in by the runner, which is
 //! what makes parallel KMC sweeps bit-identical to serial ones.
 
-use crate::batched::BatchedKmcEngine;
 use crate::error::MonteCarloError;
 use crate::kmc::{MonteCarloSimulator, SimulationOptions};
 use crate::master::MasterEquation;
@@ -195,40 +194,6 @@ impl StationaryEngine for MonteCarloSimulator {
             result.junction_current(name)
         })
     }
-
-    /// A seed ensemble at one bias point runs through the
-    /// [`BatchedKmcEngine`]: all replicas step in lockstep over SoA-packed
-    /// state, sharing one warm pass over the junction tables per round.
-    /// Replica `k` is bit-identical to [`Self::stationary_currents`] with
-    /// `seeds[k]` (the batched engine's per-lane contract), so this is a
-    /// pure throughput optimization.
-    fn stationary_currents_ensemble(
-        &self,
-        controls: &[(ControlId, f64)],
-        observables: &[ObservableId],
-        seeds: &[u64],
-    ) -> Result<Vec<Vec<f64>>, MonteCarloError> {
-        if seeds.is_empty() {
-            return Ok(Vec::new());
-        }
-        let mut system = self.system().clone();
-        apply_controls(&mut system, controls)?;
-        let options = *self.options();
-        let mut batch = BatchedKmcEngine::new(system, options, seeds)?;
-        let results = batch.run_events_all(options.events_per_solve)?;
-        results
-            .iter()
-            .map(|result| {
-                collect_observables(batch.system(), observables, |name| {
-                    result.junction_current(name)
-                })
-            })
-            .collect()
-    }
-
-    fn has_batched_stationary_ensemble(&self) -> bool {
-        true
-    }
 }
 
 /// The kinetic Monte-Carlo event clock as a [`TransientEngine`].
@@ -322,88 +287,12 @@ impl TransientEngine for MonteCarloSimulator {
             currents,
         ))
     }
-
-    /// A transient seed ensemble runs through the [`BatchedKmcEngine`]:
-    /// every replica follows the same zero-order-hold drive schedule (the
-    /// batch shares one system) while the event walks stay independent per
-    /// replica. Trace `k` is bit-identical to [`Self::transient_currents`]
-    /// with `seeds[k]` — same lazy drive-sync timing, same per-lane RNG
-    /// stream — so [`se_engine::TransientRunner::run_repeats`] can route
-    /// repeats here without changing a published number.
-    fn transient_currents_ensemble(
-        &self,
-        drives: &[(ControlId, Waveform)],
-        observables: &[ObservableId],
-        times: &[f64],
-        seeds: &[u64],
-    ) -> Result<Vec<TransientTrace>, MonteCarloError> {
-        se_engine::transient::check_sample_times::<MonteCarloError>(times)?;
-        if seeds.is_empty() {
-            return Ok(Vec::new());
-        }
-        let junction_count = self.system().junctions().len();
-        for &ObservableId(junction) in observables {
-            if junction >= junction_count {
-                return Err(MonteCarloError::InvalidArgument(format!(
-                    "unknown junction handle {junction}"
-                )));
-            }
-        }
-
-        let mut system = self.system().clone();
-        for &(ControlId(electrode), ref waveform) in drives {
-            system.set_external_voltage(electrode, waveform.value_at(0.0))?;
-        }
-        let replicas = seeds.len();
-        let mut batch = BatchedKmcEngine::new(system, *self.options(), seeds)?;
-        batch.equilibrate_all()?;
-
-        let mut currents = vec![Vec::with_capacity(times.len() * observables.len()); replicas];
-        let mut previous_transfers = vec![vec![0_i64; junction_count]; replicas];
-        let mut t_prev = 0.0;
-        for &t in times {
-            if t == 0.0 {
-                for lane in &mut currents {
-                    lane.resize(lane.len() + observables.len(), 0.0);
-                }
-                continue;
-            }
-            for &(ControlId(electrode), ref waveform) in drives {
-                batch
-                    .system_mut()
-                    .set_external_voltage(electrode, waveform.value_at(t))?;
-            }
-            batch.run_until_all(t)?;
-            let window = t - t_prev;
-            for (r, (lane, previous)) in currents
-                .iter_mut()
-                .zip(previous_transfers.iter_mut())
-                .enumerate()
-            {
-                let transfers = batch.net_transfers(r);
-                for &ObservableId(junction) in observables {
-                    let tunnelled = transfers[junction] - previous[junction];
-                    // Same sign convention as the scalar transient face.
-                    lane.push(-E * tunnelled as f64 / window);
-                }
-                previous.copy_from_slice(transfers);
-            }
-            t_prev = t;
-        }
-        Ok(currents
-            .into_iter()
-            .map(|lane| TransientTrace::new(times.to_vec(), observables.len(), lane))
-            .collect())
-    }
-
-    fn has_batched_transient_ensemble(&self) -> bool {
-        true
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batched::BatchedKmcEngine;
     use se_engine::SweepRunner;
     use se_orthodox::TunnelSystemBuilder;
 
@@ -555,6 +444,9 @@ mod tests {
 
     #[test]
     fn stationary_ensemble_is_bit_identical_to_the_per_seed_loop() {
+        // A lane group replays the executor's per-seed stationary solves:
+        // replica `k` of a `BatchedKmcEngine` must publish exactly the
+        // currents of `stationary_currents` with `seeds[k]`.
         let vg = E / (2.0 * 1e-18);
         let sim = MonteCarloSimulator::new(
             set_system(1e-3, vg),
@@ -563,28 +455,31 @@ mod tests {
                 .with_events_per_solve(2_000),
         )
         .unwrap();
-        assert!(sim.has_batched_stationary_ensemble());
         let jd = StationaryEngine::resolve_observable(&sim, "JD").unwrap();
         let js = StationaryEngine::resolve_observable(&sim, "JS").unwrap();
         let seeds = [11, 22, 33, 44];
-        let batched = sim
-            .stationary_currents_ensemble(&[], &[jd, js], &seeds)
+        let mut group =
+            BatchedKmcEngine::new(sim.system().clone(), *sim.options(), &seeds).unwrap();
+        let results = group
+            .run_events_all(sim.options().events_per_solve)
             .unwrap();
-        assert_eq!(batched.len(), seeds.len());
-        for (row, &seed) in batched.iter().zip(&seeds) {
+        assert_eq!(results.len(), seeds.len());
+        for (result, &seed) in results.iter().zip(&seeds) {
+            let row = collect_observables(sim.system(), &[jd, js], |name| {
+                result.junction_current(name)
+            })
+            .unwrap();
             let scalar = sim.stationary_currents(&[], &[jd, js], seed).unwrap();
             for (b, s) in row.iter().zip(&scalar) {
                 assert_eq!(b.to_bits(), s.to_bits(), "seed {seed} diverged");
             }
         }
-        assert!(sim
-            .stationary_currents_ensemble(&[], &[jd], &[])
-            .unwrap()
-            .is_empty());
     }
 
     #[test]
     fn transient_ensemble_is_bit_identical_to_the_per_seed_loop() {
+        // `run_repeats` seeds repeat `k` with `derive_seed(seed, k)`, so
+        // its traces are the per-seed loop's, bit for bit, in order.
         let vg = E / (2.0 * 1e-18);
         let sim = MonteCarloSimulator::new(
             set_system(0.0, vg),
@@ -593,51 +488,23 @@ mod tests {
                 .with_equilibration(200),
         )
         .unwrap();
-        assert!(sim.has_batched_transient_ensemble());
         let drain = TransientEngine::resolve_drive(&sim, "drain").unwrap();
         let jd = TransientEngine::resolve_observable(&sim, "JD").unwrap();
         let pulse = Waveform::pulse(0.0, 1e-3, 20e-9, 40e-9, 1e-6).unwrap();
         let times: Vec<f64> = (0..6).map(|i| i as f64 * 10e-9).collect();
-        let seeds = [5, 6, 7];
-        let batched = sim
-            .transient_currents_ensemble(&[(drain, pulse.clone())], &[jd], &times, &seeds)
+        let repeats = 5;
+        let runner = se_engine::TransientRunner::new().with_seed(9);
+        let ensemble = runner
+            .run_repeats(&sim, &[("drain", pulse.clone())], &["JD"], &times, repeats)
             .unwrap();
-        assert_eq!(batched.len(), seeds.len());
-        for (trace, &seed) in batched.iter().zip(&seeds) {
+        assert_eq!(ensemble.len(), repeats);
+        for (k, trace) in ensemble.iter().enumerate() {
+            let seed = se_engine::derive_seed(9, k as u64);
             let scalar = sim
                 .transient_currents(&[(drain, pulse.clone())], &[jd], &times, seed)
                 .unwrap();
-            assert_eq!(trace, &scalar, "seed {seed} diverged");
+            assert_eq!(trace, &scalar, "repeat {k} diverged");
         }
-    }
-
-    #[test]
-    fn run_repeats_routes_through_the_batch_unchanged() {
-        // More repeats than one ENSEMBLE_CHUNK, so the grouped path splits
-        // into several batches — results must still match the per-repeat
-        // default loop bit for bit.
-        let vg = E / (2.0 * 1e-18);
-        let sim = MonteCarloSimulator::new(
-            set_system(1e-3, vg),
-            SimulationOptions::new(1.0).with_equilibration(50),
-        )
-        .unwrap();
-        let times: Vec<f64> = (1..4).map(|i| i as f64 * 5e-9).collect();
-        let repeats = se_engine::ENSEMBLE_CHUNK + 3;
-        let runner = se_engine::TransientRunner::new().with_seed(9);
-        let via_batch = runner
-            .run_repeats(&sim, &[], &["JD"], &times, repeats)
-            .unwrap();
-        // The default per-seed loop with the same derived seeds.
-        let loose: Vec<TransientTrace> = (0..repeats)
-            .map(|k| {
-                sim.transient_currents(&[], &[ObservableId(0)], &times, {
-                    se_engine::derive_seed(9, k as u64)
-                })
-                .unwrap()
-            })
-            .collect();
-        assert_eq!(via_batch, loose);
     }
 
     #[test]

@@ -21,7 +21,9 @@ use crate::observables::RunResult;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use se_numeric::sampling::exponential_waiting_time;
-use se_orthodox::{ChargeState, EventRateTable, LiveState, RateContext, TunnelEvent, TunnelSystem};
+use se_orthodox::{
+    ChargeState, Endpoint, EventRateTable, LiveState, RateContext, TunnelEvent, TunnelSystem,
+};
 use se_units::constants::E;
 use std::collections::HashMap;
 
@@ -516,8 +518,7 @@ impl MonteCarloSimulator {
     }
 }
 
-/// Time-weighted island-occupation accumulator, shared by the scalar step
-/// loop and the batched ensemble engine ([`crate::batched`]).
+/// Time-weighted island-occupation accumulator.
 ///
 /// The occupation integral `∫ n_i dt` is piecewise constant and only
 /// changes when an event touches island `i`, so instead of accumulating
@@ -525,13 +526,13 @@ impl MonteCarloSimulator {
 /// pre-event state), each island carries the start time of its current
 /// segment and settles the finished segment only when its charge actually
 /// changes — O(islands touched) per event.
-pub(crate) struct OccupationTracker {
+struct OccupationTracker {
     occupation_time: Vec<f64>,
     segment_start: Vec<f64>,
 }
 
 impl OccupationTracker {
-    pub(crate) fn new(islands: usize, start: f64) -> Self {
+    fn new(islands: usize, start: f64) -> Self {
         OccupationTracker {
             occupation_time: vec![0.0; islands],
             segment_start: vec![start; islands],
@@ -543,41 +544,23 @@ impl OccupationTracker {
     /// clamped) event time.
     #[inline]
     fn record(&mut self, system: &TunnelSystem, state: &ChargeState, event: TunnelEvent, t: f64) {
-        self.record_endpoints(system.event_endpoints(event), |i| state.0[i], t);
-    }
-
-    /// [`Self::record`] with the post-event island charges supplied by a
-    /// lookup instead of a materialized [`ChargeState`] — the batched
-    /// engine's lanes keep their electrons in island-major planes.
-    #[inline]
-    pub(crate) fn record_endpoints(
-        &mut self,
-        endpoints: (se_orthodox::Endpoint, se_orthodox::Endpoint),
-        electrons: impl Fn(usize) -> i64,
-        t: f64,
-    ) {
-        let (from, to) = endpoints;
-        if let se_orthodox::Endpoint::Island(i) = from {
+        let (from, to) = system.event_endpoints(event);
+        if let Endpoint::Island(i) = from {
             // The electron just left: the segment that ended held n + 1.
-            self.occupation_time[i] += (electrons(i) + 1) as f64 * (t - self.segment_start[i]);
+            self.occupation_time[i] += (state.0[i] + 1) as f64 * (t - self.segment_start[i]);
             self.segment_start[i] = t;
         }
-        if let se_orthodox::Endpoint::Island(i) = to {
-            self.occupation_time[i] += (electrons(i) - 1) as f64 * (t - self.segment_start[i]);
+        if let Endpoint::Island(i) = to {
+            self.occupation_time[i] += (state.0[i] - 1) as f64 * (t - self.segment_start[i]);
             self.segment_start[i] = t;
         }
     }
 
     /// Settles every island's open segment up to `t_end` and returns the
     /// per-island occupation times.
-    fn finish(self, state: &ChargeState, t_end: f64) -> Vec<f64> {
-        self.finish_with(|i| state.0[i], t_end)
-    }
-
-    /// [`Self::finish`] with the final island charges supplied by a lookup.
-    pub(crate) fn finish_with(mut self, electrons: impl Fn(usize) -> i64, t_end: f64) -> Vec<f64> {
+    fn finish(mut self, state: &ChargeState, t_end: f64) -> Vec<f64> {
         for (i, occ) in self.occupation_time.iter_mut().enumerate() {
-            *occ += electrons(i) as f64 * (t_end - self.segment_start[i]);
+            *occ += state.0[i] as f64 * (t_end - self.segment_start[i]);
         }
         self.occupation_time
     }
@@ -587,41 +570,17 @@ impl OccupationTracker {
 ///
 /// This is [`se_numeric::sampling::select_weighted`] minus the per-call
 /// validation pass: the step loop has already established that every rate
-/// is finite and non-negative and that `total > 0`. The round-off fallback
-/// is the same — if `total` (summed junction-pairwise) lands marginally
-/// above the linear scan's accumulation, the last non-zero rate wins.
+/// is finite and non-negative and that `total > 0`. One forward pass: the
+/// zero-skip accumulation for the first positive rate whose running sum
+/// exceeds the drawn target, plus the round-off fallback — if `total`
+/// (summed junction-pairwise) lands marginally above the scan's
+/// accumulation, the last non-zero rate wins.
 #[inline]
 fn select_event<R: Rng + ?Sized>(rng: &mut R, rates: &[f64], total: f64) -> usize {
-    select_event_from(rng, rates.iter().copied(), total)
-}
-
-/// [`select_event`] over any event-ordered weight iterator — the batched
-/// engine feeds one replica's strided lane of the event-major rate matrix.
-/// One forward pass: the zero-skip accumulation of the scalar scan plus the
-/// round-off fallback (last non-zero weight wins) folded into the same
-/// traversal, so the selected index — and the single RNG draw — are
-/// bit-identical to the scalar path.
-#[inline]
-pub(crate) fn select_event_from<R: Rng + ?Sized>(
-    rng: &mut R,
-    weights: impl Iterator<Item = f64>,
-    total: f64,
-) -> usize {
     let target = rng.gen::<f64>() * total;
-    select_with_target(weights, target)
-}
-
-/// The deterministic tail of [`select_event_from`]: the zero-skip linear
-/// scan for the first positive weight whose running sum exceeds `target`,
-/// falling back to the last positive weight when round-off leaves the
-/// target unreached. Split out so the batched engine can draw every
-/// replica's target in its per-lane RNG phase and resolve the selections
-/// afterwards (by mask or by this scan) without touching any stream order.
-#[inline]
-pub(crate) fn select_with_target(weights: impl Iterator<Item = f64>, target: f64) -> usize {
     let mut acc = 0.0;
     let mut last_nonzero = None;
-    for (i, w) in weights.enumerate() {
+    for (i, &w) in rates.iter().enumerate() {
         // Skipping zero rates leaves the accumulation unchanged and spares
         // the frozen majority of a cold circuit's events the fp add.
         if w > 0.0 {
@@ -728,6 +687,16 @@ mod tests {
         assert_eq!(result.events(), 0);
     }
 
+    /// An RNG whose every draw is the same word, so `gen::<f64>()` is a
+    /// chosen fraction of the total.
+    struct FixedRng(u64);
+
+    impl rand::RngCore for FixedRng {
+        fn next_u64(&mut self) -> u64 {
+            self.0
+        }
+    }
+
     #[test]
     fn select_with_target_clamps_the_final_bucket() {
         // Round-off can leave `u * total` at or above the accumulated sum
@@ -738,15 +707,17 @@ mod tests {
         // tail.
         let rates = [0.0, 0.25, 0.5, 0.25, 0.0, 0.0];
         let total: f64 = rates.iter().sum();
-        assert_eq!(select_with_target(rates.iter().copied(), total), 3);
-        assert_eq!(
-            select_with_target(rates.iter().copied(), total * (1.0 + 1e-9)),
-            3
-        );
-        // In-range targets behave like the plain inverse-CDF scan.
-        assert_eq!(select_with_target(rates.iter().copied(), 0.0), 1);
-        assert_eq!(select_with_target(rates.iter().copied(), 0.3), 2);
-        assert_eq!(select_with_target(rates.iter().copied(), 0.8), 3);
+        // The largest draw, 1 − 2⁻⁵³, against a total inflated past the
+        // scan's accumulation: the target is out of reach.
+        let mut top = FixedRng(u64::MAX);
+        assert_eq!(select_event(&mut top, &rates, total * (1.0 + 1e-9)), 3);
+        assert_eq!(select_event(&mut top, &rates, total), 3);
+        // In-range targets behave like the plain inverse-CDF scan: a draw
+        // of u selects the bucket holding u · total.
+        let draw = |u: f64| FixedRng(((u * (1u64 << 53) as f64) as u64) << 11);
+        assert_eq!(select_event(&mut draw(0.0), &rates, total), 1);
+        assert_eq!(select_event(&mut draw(0.3), &rates, total), 2);
+        assert_eq!(select_event(&mut draw(0.8), &rates, total), 3);
     }
 
     #[test]

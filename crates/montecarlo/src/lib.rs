@@ -9,11 +9,14 @@
 //! orthodox physics:
 //!
 //! * [`kmc::MonteCarloSimulator`] — a kinetic Monte-Carlo (Gillespie) engine
-//!   that samples individual tunnel events; handles any island count, gives
-//!   time-domain traces and noise, optionally includes cotunneling events.
-//!   Its step loop runs on the incremental hot path of
-//!   [`se_orthodox::live`]: cached island potentials, O(1) per-event ΔF, a
-//!   persistent rate table, no per-step allocation;
+//!   that samples individual sequential tunnel events; handles any island
+//!   count and gives time-domain traces and noise. It does not sample
+//!   cotunneling events: [`se_orthodox::cotunneling`] is an analytic rate
+//!   estimate, not an event type of the walk. The step loop runs on the
+//!   incremental hot path of [`se_orthodox::live`]: cached island
+//!   potentials, O(1) per-event ΔF, a persistent rate table, no per-step
+//!   allocation. [`batched::BatchedKmcEngine`] groups a few seed replicas
+//!   of one circuit, each a scalar simulator;
 //! * [`master::MasterEquation`] — a deterministic master-equation solver
 //!   that enumerates charge states in a window around the ground state and
 //!   solves for the stationary distribution; the accuracy reference. The
@@ -89,7 +92,7 @@ pub mod master;
 pub mod observables;
 pub mod sweep;
 
-pub use batched::{BatchedKmcEngine, ReplicaObservation};
+pub use batched::BatchedKmcEngine;
 pub use builder::tunnel_system_from_netlist;
 pub use engine::{resolve_electrode, resolve_junction};
 pub use error::MonteCarloError;
@@ -101,7 +104,7 @@ pub use sweep::{gate_sweep_kmc, gate_sweep_master, stability_map_master, SweepPo
 
 /// Commonly used types for driving the Monte-Carlo simulator.
 pub mod prelude {
-    pub use crate::batched::{BatchedKmcEngine, ReplicaObservation};
+    pub use crate::batched::BatchedKmcEngine;
     pub use crate::builder::tunnel_system_from_netlist;
     pub use crate::error::MonteCarloError;
     pub use crate::kmc::{KmcKernel, MonteCarloSimulator, SimulationOptions, TracePoint};

@@ -37,7 +37,7 @@ use crate::directive::{
 use crate::element::{Element, ElementKind, MosfetParams, MosfetType, SetParams};
 use crate::error::NetlistError;
 use crate::netlist::Netlist;
-use se_engine::Waveform;
+use se_engine::{Waveform, MAX_GRID_POINTS};
 use se_units::parse_value;
 use std::collections::HashMap;
 
@@ -185,6 +185,12 @@ fn parse_directive(card: &str, line: usize, deck: &mut Deck) -> Result<(), Netli
                     ".tran stop must be at least one step, got {stop} with step {step}"
                 )));
             }
+            let count = stop / step;
+            if count > MAX_GRID_POINTS as f64 {
+                return Err(err(format!(
+                    ".tran grid would have {count:.3e} steps (more than {MAX_GRID_POINTS})"
+                )));
+            }
             deck.analyses.push(Analysis::Transient { step, stop });
         }
         ".options" | ".option" => {
@@ -238,11 +244,9 @@ fn parse_sweep_spec(
             )));
         }
         let count = (stop - start) / step;
-        const MAX_POINTS: f64 = 2_000_000.0;
-        if count > MAX_POINTS {
+        if count > MAX_GRID_POINTS as f64 {
             return Err(err(format!(
-                ".dc grid would have {} points (more than {MAX_POINTS})",
-                count as u64
+                ".dc grid would have {count:.3e} steps (more than {MAX_GRID_POINTS})"
             )));
         }
         #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
@@ -983,6 +987,25 @@ CG gate island 0.5a
             let deck = format!("t\nV1 a 0 1\nR1 a 0 1k\n{bad}\n");
             assert!(parse_full_deck(&deck).is_err(), "`{bad}` should fail");
         }
+    }
+
+    #[test]
+    fn tran_grid_is_capped_like_dc() {
+        // 1e300 / 1e-9 saturates any integer step count; 1 / 1e-9 would
+        // plan a billion samples. Both are refused on their own line, and
+        // the reported size is not a saturated integer.
+        for card in [".tran 1n 1e300", ".tran 1n 1", ".dc V1 0 1e290 1n"] {
+            let deck = format!("t\nV1 a 0 1\nR1 a 0 1k\n{card}\n");
+            match parse_full_deck(&deck) {
+                Err(NetlistError::Parse { line, message }) => {
+                    assert_eq!(line, 4, "`{card}`");
+                    assert!(message.contains("more than 2000000"), "{message}");
+                    assert!(!message.contains(&u64::MAX.to_string()), "{message}");
+                }
+                other => panic!("`{card}` should fail to parse, got {other:?}"),
+            }
+        }
+        assert!(parse_full_deck("t\nV1 a 0 1\nR1 a 0 1k\n.tran 1n 2m\n").is_ok());
     }
 
     #[test]

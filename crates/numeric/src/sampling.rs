@@ -37,16 +37,14 @@ const LG7: f64 = 1.479_819_860_511_658_6e-1;
 /// Deterministic polynomial natural logarithm over the waiting-time draw
 /// domain `u ∈ (0, 1]` (any positive *normal* finite input is accepted).
 ///
-/// The event clock of the Monte-Carlo hot loop is `dt = -ln(u) / Γ_total`
-/// per lane; routing it through the platform `ln` would leave a lane-serial
-/// libm call in the batched engine's clock pass. This kernel is the `ln`
-/// sibling of the Boltzmann exponential in `se-orthodox`: exponent-bit
-/// range reduction to `u = 2^k · m` with `m ∈ [√2/2, √2)`, a fixed-degree
-/// Horner polynomial for `ln m`, and a Cody–Waite reassembly of
-/// `k·ln 2 + ln m` — pure elementwise arithmetic (one division, no
-/// branches, no table lookups) that LLVM auto-vectorizes across SoA lanes,
-/// and whose result is a deterministic function of the input bits on every
-/// platform, unlike the libm `ln` the replay traces must not depend on.
+/// The event clock of the Monte-Carlo hot loop is `dt = -ln(u) / Γ_total`.
+/// This kernel is the `ln` sibling of the Boltzmann exponential in
+/// `se-orthodox`: exponent-bit range reduction to `u = 2^k · m` with
+/// `m ∈ [√2/2, √2)`, a fixed-degree Horner polynomial for `ln m`, and a
+/// Cody–Waite reassembly of `k·ln 2 + ln m` — pure elementwise arithmetic
+/// (one division, no branches, no table lookups) whose result is a
+/// deterministic function of the input bits on every platform, unlike the
+/// libm `ln` the replay traces must not depend on.
 ///
 /// Accuracy: within 2 ulp of `f64::ln` over the full draw domain (the
 /// property tests pin this); `ln_unit(1.0)` is exactly `0.0`.
@@ -83,15 +81,11 @@ pub fn ln_unit(u: f64) -> f64 {
 }
 
 /// Draws a uniform variate from the open-below unit interval
-/// `(MIN_POSITIVE, 1]` — the guarded draw the exponential waiting time is
-/// built on (`u = 0` would give an infinite waiting time, and subnormal
-/// `u` sits outside [`ln_unit`]'s reduced domain).
-///
-/// Exposed so the batched engine's SoA RNG pass can fill a whole plane of
-/// draws with the exact per-lane stream the scalar
-/// [`exponential_waiting_time`] consumes.
+/// `(MIN_POSITIVE, 1]` — the guarded draw the exponential waiting time and
+/// the Box–Muller radius are built on (`u = 0` would give an infinite
+/// logarithm, and subnormal `u` sits outside [`ln_unit`]'s reduced domain).
 #[inline]
-pub fn unit_interval_open<R: Rng + ?Sized>(rng: &mut R) -> f64 {
+fn unit_interval_open<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     let mut u: f64 = rng.gen();
     while u <= f64::MIN_POSITIVE {
         u = rng.gen();
@@ -103,10 +97,7 @@ pub fn unit_interval_open<R: Rng + ?Sized>(rng: &mut R) -> f64 {
 /// `rate` (in events per second).
 ///
 /// The logarithm is the deterministic [`ln_unit`] kernel, so waiting times
-/// are a pure function of the RNG stream and the rate on every platform —
-/// and the batched engine's vectorized clock pass, which evaluates the
-/// same `-ln_unit(u) / rate` expression over a plane of lanes, stays
-/// bit-identical to this scalar path.
+/// are a pure function of the RNG stream and the rate on every platform.
 ///
 /// # Errors
 ///
@@ -116,26 +107,13 @@ pub fn exponential_waiting_time<R: Rng + ?Sized>(
     rng: &mut R,
     rate: f64,
 ) -> Result<f64, NumericError> {
-    validate_waiting_rate(rate)?;
-    let u = unit_interval_open(rng);
-    Ok(-ln_unit(u) / rate)
-}
-
-/// The [`exponential_waiting_time`] domain check, exposed so batched
-/// callers that inline the `-ln_unit(u) / rate` expression over a lane
-/// plane reject invalid totals with the identical error.
-///
-/// # Errors
-///
-/// Returns [`NumericError::InvalidArgument`] if `rate` is not strictly
-/// positive and finite.
-pub fn validate_waiting_rate(rate: f64) -> Result<(), NumericError> {
     if !(rate > 0.0) || !rate.is_finite() {
         return Err(NumericError::InvalidArgument(format!(
             "waiting-time rate must be positive and finite, got {rate}"
         )));
     }
-    Ok(())
+    let u = unit_interval_open(rng);
+    Ok(-ln_unit(u) / rate)
 }
 
 /// Selects an index with probability proportional to `weights[i]`.
@@ -242,9 +220,8 @@ mod tests {
 
     #[test]
     fn exponential_waiting_time_matches_the_kernel_expression() {
-        // The batched engine's clock pass evaluates -ln_unit(u)/total
-        // inline over a plane of lanes; this pins that the scalar helper is
-        // the same expression over the same guarded draw.
+        // The recorded traces pin the clock bits: this pins that the helper
+        // is exactly -ln_unit(u)/rate over the guarded draw.
         let rate = 3.25e9;
         let mut a = StdRng::seed_from_u64(99);
         let mut b = StdRng::seed_from_u64(99);

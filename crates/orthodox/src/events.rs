@@ -65,7 +65,6 @@
 //! total's pairwise association, makes the kernel revision trace-visible
 //! (see `docs/DETERMINISM.md` §10).
 
-use crate::batch::BatchedLiveState;
 use crate::live::{LiveState, RateContext};
 use crate::rates::{rate_from_parts, rate_from_parts_branchfree};
 use crate::system::{Direction, TunnelEvent, TunnelSystem};
@@ -82,17 +81,12 @@ struct EvalParams<'a> {
     inv_kt: f64,
     /// The `fill_rates` frozen cutoff: above it the rate is exactly zero.
     cutoff: f64,
-    /// Endpoint-potential storage (flat scalar buffer or SoA planes).
+    /// The live state's flat endpoint-potential buffer.
     phi: &'a [f64],
-    /// Distance between consecutive endpoints in `phi` (1 for the scalar
-    /// buffer, the replica count for the batched planes).
-    stride: usize,
-    /// Lane offset inside each endpoint's slot (0 for scalar).
-    lane: usize,
 }
 
 impl<'a> EvalParams<'a> {
-    fn new(ctx: &'a RateContext, phi: &'a [f64], stride: usize, lane: usize) -> Self {
+    fn new(ctx: &'a RateContext, live: &'a LiveState) -> Self {
         EvalParams {
             endpoints: ctx.endpoints(),
             self_energies: ctx.self_energies(),
@@ -100,9 +94,7 @@ impl<'a> EvalParams<'a> {
             kt: ctx.kt(),
             inv_kt: ctx.inv_kt(),
             cutoff: ctx.frozen_cutoff(),
-            phi,
-            stride,
-            lane,
+            phi: live.endpoint_potentials(),
         }
     }
 
@@ -111,8 +103,7 @@ impl<'a> EvalParams<'a> {
     #[inline]
     fn deltas(&self, j: usize) -> (f64, f64) {
         let (ia, ib) = self.endpoints[j];
-        let phi_gap =
-            E * (self.phi[ia * self.stride + self.lane] - self.phi[ib * self.stride + self.lane]);
+        let phi_gap = E * (self.phi[ia] - self.phi[ib]);
         let self_energy = self.self_energies[j];
         (phi_gap + self_energy, self_energy - phi_gap)
     }
@@ -176,14 +167,42 @@ impl Window {
     }
 }
 
-/// The engine-agnostic core: the maintained ΔF vector and the partial-sum
-/// tree whose leaves are the event rates in canonical
-/// [`TunnelSystem::event`] order. The scalar and batched wrappers differ
-/// only in how they address the potential storage during refills, so both
-/// run literally this code — which is what keeps a batched lane's
-/// maintained rates bit-identical to the standalone scalar table's.
+/// Incrementally maintained event rates for a [`LiveState`] walk: the
+/// maintained ΔF vector and the partial-sum tree whose leaves are the event
+/// rates in canonical [`TunnelSystem::event`] order.
+///
+/// Construct once, then per Monte-Carlo step: [`EventRateTable::sync`]
+/// (after any system mutation), read [`EventRateTable::total`], select with
+/// [`EventRateTable::select`], apply the event to the live state, and call
+/// [`EventRateTable::apply_event`] — O(strong list + log E) instead of
+/// `fill_rates`' O(E).
+///
+/// # Example
+///
+/// ```
+/// use se_orthodox::system::{ChargeState, TunnelSystemBuilder};
+/// use se_orthodox::{EventRateTable, LiveState, RateContext};
+///
+/// # fn main() -> Result<(), se_orthodox::OrthodoxError> {
+/// let mut b = TunnelSystemBuilder::new();
+/// let island = b.island("dot", 0.0);
+/// let drain = b.external("drain", 0.25);
+/// let source = b.external("source", 0.0);
+/// b.junction("JD", drain, island, 0.5e-18, 100e3);
+/// b.junction("JS", island, source, 0.5e-18, 100e3);
+/// let system = b.build()?;
+/// let ctx = RateContext::new(&system, 1.0)?;
+/// let mut live = LiveState::new(&system, ChargeState::neutral(1));
+/// let mut table = EventRateTable::new(&system, &ctx, &live);
+///
+/// let event = system.event(table.select(0.5 * table.total()));
+/// live.apply(&system, event);
+/// table.apply_event(&system, &ctx, &live, event);
+/// # Ok(())
+/// # }
+/// ```
 #[derive(Debug, Clone)]
-struct TableCore {
+pub struct EventRateTable {
     tree: PartialSumTree,
     /// Maintained directed ΔF values (joule), interleaved `[a→b, b→a]` per
     /// junction — axpy-updated between refills, recomputed exactly from the
@@ -195,14 +214,135 @@ struct TableCore {
     seen_generation: u64,
 }
 
-impl TableCore {
-    fn new(junctions: usize) -> Self {
-        TableCore {
+impl EventRateTable {
+    /// Builds and fills the table for the live state's current potentials.
+    #[must_use]
+    pub fn new(_system: &TunnelSystem, ctx: &RateContext, live: &LiveState) -> Self {
+        let junctions = ctx.endpoints().len();
+        let mut table = EventRateTable {
             tree: PartialSumTree::new(2 * junctions),
             df: vec![0.0; 2 * junctions],
             window: Window::new(2 * junctions),
             seen_generation: 0,
+        };
+        table.refill(&EvalParams::new(ctx, live), live.generation());
+        table
+    }
+
+    /// Refills the table if the live state was refreshed or synced since
+    /// the last fill (detected via the generation counter). Returns whether
+    /// a refill happened. Call after [`LiveState::sync`], before reading
+    /// totals.
+    pub fn sync(&mut self, _system: &TunnelSystem, ctx: &RateContext, live: &LiveState) -> bool {
+        if live.generation() == self.seen_generation {
+            return false;
         }
+        self.refill(&EvalParams::new(ctx, live), live.generation());
+        true
+    }
+
+    /// Folds a just-applied event into the table — call immediately after
+    /// [`LiveState::apply`] with the same event. Handles the periodic exact
+    /// refresh transparently (a refresh during the apply triggers a full
+    /// refill from the fresh potentials, the same deterministic cadence as
+    /// the potentials themselves).
+    ///
+    /// Otherwise three passes over the fired junction's strong list:
+    ///
+    /// 1. the axpy — every listed ΔF shifts by its build-time coupling
+    ///    constant — fused with the branch-free compaction of the events
+    ///    that need a rate into the contiguous window;
+    /// 2. one vectorized rate loop over the window;
+    /// 3. the scatter of the new rates into the tree leaves, followed by
+    ///    the tree update.
+    pub fn apply_event(
+        &mut self,
+        system: &TunnelSystem,
+        ctx: &RateContext,
+        live: &LiveState,
+        event: TunnelEvent,
+    ) {
+        let p = EvalParams::new(ctx, live);
+        if live.generation() != self.seen_generation {
+            self.refill(&p, live.generation());
+            return;
+        }
+        // +1 for a→b, −1 for b→a — the same convention `LiveState::apply`
+        // uses for its potential axpy.
+        let sign = match event.direction {
+            Direction::AToB => 1.0,
+            Direction::BToA => -1.0,
+        };
+        let strong = system.junction_strong_couplings(event.junction);
+        let values = system.junction_strong_coupling_values(event.junction);
+        let mut n = 0;
+        for (&j, &g) in strong.iter().zip(values) {
+            let j = j as usize;
+            let shift = sign * g;
+            let prefactor = p.prefactors[j];
+            let df_ab = self.df[2 * j] + shift;
+            let df_ba = self.df[2 * j + 1] - shift;
+            self.df[2 * j] = df_ab;
+            self.df[2 * j + 1] = df_ba;
+            // An event needs a rate if it is inside the frozen cutoff, or
+            // if it still holds a non-zero leaf (it just froze, and the
+            // leaf must drop to 0.0). A frozen event whose leaf is already
+            // zero keeps it verbatim and costs nothing past this compare.
+            let keep_ab = (df_ab <= p.cutoff) | (self.tree.leaf(2 * j).to_bits() != 0);
+            let keep_ba = (df_ba <= p.cutoff) | (self.tree.leaf(2 * j + 1).to_bits() != 0);
+            n = self.window.stage(n, 2 * j, df_ab, prefactor, keep_ab);
+            n = self.window.stage(n, 2 * j + 1, df_ba, prefactor, keep_ba);
+        }
+        self.evaluate_window(n, &p, false);
+    }
+
+    /// The total rate — the partial-sum tree's root, a fixed pairwise
+    /// reduction of the leaf rates (associates differently from
+    /// [`RateContext::fill_rates`]' sequential fold; see the module docs).
+    #[must_use]
+    pub fn total(&self) -> f64 {
+        self.tree.total()
+    }
+
+    /// The maintained rate of canonical event `index`.
+    #[must_use]
+    pub fn rate(&self, index: usize) -> f64 {
+        self.tree.leaf(index)
+    }
+
+    /// The maintained ΔF of canonical event `index`, in joule.
+    #[must_use]
+    pub fn delta_f(&self, index: usize) -> f64 {
+        self.df[index]
+    }
+
+    /// Number of candidate events (2 × junctions).
+    #[must_use]
+    pub fn event_count(&self) -> usize {
+        self.tree.len()
+    }
+
+    /// Inverse-CDF selection: the canonical event index whose cumulative
+    /// bucket contains `target ∈ [0, total)`, by O(log E) tree descent,
+    /// with the final-bucket clamp to the last positive-rate event when
+    /// round-off leaves `target` above every accumulated sum.
+    ///
+    /// # Panics
+    ///
+    /// Panics if every rate is zero (callers gate on `total() > 0`).
+    #[must_use]
+    pub fn select(&self, target: f64) -> usize {
+        let idx = self.tree.descend(target);
+        if self.tree.leaf(idx) > 0.0 {
+            return idx;
+        }
+        // Final-bucket clamp: floating-point round-off steered the descent
+        // onto a zero-rate leaf (or past the last event); fall back to the
+        // last positive-rate event, mirroring the linear scan's fallback.
+        (0..self.tree.len())
+            .rev()
+            .find(|&e| self.tree.leaf(e) > 0.0)
+            .expect("the total rate was positive")
     }
 
     /// Passes 2 and 3 over the first `n` staged events: evaluates their
@@ -267,315 +407,6 @@ impl TableCore {
         }
         self.evaluate_window(n, p, true);
         self.seen_generation = generation;
-    }
-
-    /// Post-event maintenance. If the live state refreshed (or synced)
-    /// under us, refill from the fresh potentials; otherwise three passes
-    /// over the fired junction's strong list:
-    ///
-    /// 1. the axpy — every listed ΔF shifts by its build-time coupling
-    ///    constant — fused with the branch-free compaction of the events
-    ///    that need a rate into the contiguous window;
-    /// 2. one vectorized rate loop over the window;
-    /// 3. the scatter of the new rates into the tree leaves, followed by
-    ///    the tree update.
-    fn apply_event(
-        &mut self,
-        system: &TunnelSystem,
-        fired: usize,
-        sign: f64,
-        p: &EvalParams,
-        generation: u64,
-    ) {
-        if generation != self.seen_generation {
-            self.refill(p, generation);
-            return;
-        }
-        let strong = system.junction_strong_couplings(fired);
-        let values = system.junction_strong_coupling_values(fired);
-        let mut n = 0;
-        for (&j, &g) in strong.iter().zip(values) {
-            let j = j as usize;
-            let shift = sign * g;
-            let prefactor = p.prefactors[j];
-            let df_ab = self.df[2 * j] + shift;
-            let df_ba = self.df[2 * j + 1] - shift;
-            self.df[2 * j] = df_ab;
-            self.df[2 * j + 1] = df_ba;
-            // An event needs a rate if it is inside the frozen cutoff, or
-            // if it still holds a non-zero leaf (it just froze, and the
-            // leaf must drop to 0.0). A frozen event whose leaf is already
-            // zero keeps it verbatim and costs nothing past this compare.
-            let keep_ab = (df_ab <= p.cutoff) | (self.tree.leaf(2 * j).to_bits() != 0);
-            let keep_ba = (df_ba <= p.cutoff) | (self.tree.leaf(2 * j + 1).to_bits() != 0);
-            n = self.window.stage(n, 2 * j, df_ab, prefactor, keep_ab);
-            n = self.window.stage(n, 2 * j + 1, df_ba, prefactor, keep_ba);
-        }
-        self.evaluate_window(n, p, false);
-    }
-
-    fn select(&self, target: f64) -> usize {
-        let idx = self.tree.descend(target);
-        if self.tree.leaf(idx) > 0.0 {
-            return idx;
-        }
-        // Final-bucket clamp: floating-point round-off steered the descent
-        // onto a zero-rate leaf (or past the last event); fall back to the
-        // last positive-rate event, mirroring the linear scan's fallback.
-        (0..self.tree.len())
-            .rev()
-            .find(|&e| self.tree.leaf(e) > 0.0)
-            .expect("the total rate was positive")
-    }
-}
-
-/// The sign of a fired event's coupling shift: +1 for a→b, −1 for b→a —
-/// the same convention [`LiveState::apply`] uses for its potential axpy.
-fn event_sign(event: TunnelEvent) -> f64 {
-    match event.direction {
-        Direction::AToB => 1.0,
-        Direction::BToA => -1.0,
-    }
-}
-
-/// Incrementally maintained event rates for a scalar [`LiveState`] walk.
-///
-/// Construct once, then per Monte-Carlo step: [`EventRateTable::sync`]
-/// (after any system mutation), read [`EventRateTable::total`], select with
-/// [`EventRateTable::select`], apply the event to the live state, and call
-/// [`EventRateTable::apply_event`] — O(strong list + log E) instead of
-/// `fill_rates`' O(E).
-///
-/// # Example
-///
-/// ```
-/// use se_orthodox::system::{ChargeState, TunnelSystemBuilder};
-/// use se_orthodox::{EventRateTable, LiveState, RateContext};
-///
-/// # fn main() -> Result<(), se_orthodox::OrthodoxError> {
-/// let mut b = TunnelSystemBuilder::new();
-/// let island = b.island("dot", 0.0);
-/// let drain = b.external("drain", 0.25);
-/// let source = b.external("source", 0.0);
-/// b.junction("JD", drain, island, 0.5e-18, 100e3);
-/// b.junction("JS", island, source, 0.5e-18, 100e3);
-/// let system = b.build()?;
-/// let ctx = RateContext::new(&system, 1.0)?;
-/// let mut live = LiveState::new(&system, ChargeState::neutral(1));
-/// let mut table = EventRateTable::new(&system, &ctx, &live);
-///
-/// let event = system.event(table.select(0.5 * table.total()));
-/// live.apply(&system, event);
-/// table.apply_event(&system, &ctx, &live, event);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone)]
-pub struct EventRateTable {
-    core: TableCore,
-}
-
-impl EventRateTable {
-    /// Builds and fills the table for the live state's current potentials.
-    #[must_use]
-    pub fn new(_system: &TunnelSystem, ctx: &RateContext, live: &LiveState) -> Self {
-        let mut table = EventRateTable {
-            core: TableCore::new(ctx.endpoints().len()),
-        };
-        table.core.refill(
-            &EvalParams::new(ctx, live.endpoint_potentials(), 1, 0),
-            live.generation(),
-        );
-        table
-    }
-
-    /// Refills the table if the live state was refreshed or synced since
-    /// the last fill (detected via the generation counter). Returns whether
-    /// a refill happened. Call after [`LiveState::sync`], before reading
-    /// totals.
-    pub fn sync(&mut self, _system: &TunnelSystem, ctx: &RateContext, live: &LiveState) -> bool {
-        if live.generation() == self.core.seen_generation {
-            return false;
-        }
-        self.core.refill(
-            &EvalParams::new(ctx, live.endpoint_potentials(), 1, 0),
-            live.generation(),
-        );
-        true
-    }
-
-    /// Folds a just-applied event into the table — call immediately after
-    /// [`LiveState::apply`] with the same event. Handles the periodic exact
-    /// refresh transparently (a refresh during the apply triggers a full
-    /// refill from the fresh potentials, the same deterministic cadence as
-    /// the potentials themselves).
-    pub fn apply_event(
-        &mut self,
-        system: &TunnelSystem,
-        ctx: &RateContext,
-        live: &LiveState,
-        event: TunnelEvent,
-    ) {
-        self.core.apply_event(
-            system,
-            event.junction,
-            event_sign(event),
-            &EvalParams::new(ctx, live.endpoint_potentials(), 1, 0),
-            live.generation(),
-        );
-    }
-
-    /// The total rate — the partial-sum tree's root, a fixed pairwise
-    /// reduction of the leaf rates (associates differently from
-    /// [`RateContext::fill_rates`]' sequential fold; see the module docs).
-    #[must_use]
-    pub fn total(&self) -> f64 {
-        self.core.tree.total()
-    }
-
-    /// The maintained rate of canonical event `index`.
-    #[must_use]
-    pub fn rate(&self, index: usize) -> f64 {
-        self.core.tree.leaf(index)
-    }
-
-    /// The maintained ΔF of canonical event `index`, in joule.
-    #[must_use]
-    pub fn delta_f(&self, index: usize) -> f64 {
-        self.core.df[index]
-    }
-
-    /// Number of candidate events (2 × junctions).
-    #[must_use]
-    pub fn event_count(&self) -> usize {
-        self.core.tree.len()
-    }
-
-    /// Inverse-CDF selection: the canonical event index whose cumulative
-    /// bucket contains `target ∈ [0, total)`, by O(log E) tree descent,
-    /// with the final-bucket clamp to the last positive-rate event when
-    /// round-off leaves `target` above every accumulated sum.
-    ///
-    /// # Panics
-    ///
-    /// Panics if every rate is zero (callers gate on `total() > 0`).
-    #[must_use]
-    pub fn select(&self, target: f64) -> usize {
-        self.core.select(target)
-    }
-}
-
-/// One lane's incrementally maintained event rates over a
-/// [`BatchedLiveState`]'s SoA planes.
-///
-/// Identical maintenance code to [`EventRateTable`] — only the potential
-/// addressing differs (plane stride and lane offset instead of the flat
-/// scalar buffer) — so lane `r`'s table is bit-for-bit the table a
-/// standalone scalar walk of the same event sequence maintains.
-#[derive(Debug, Clone)]
-pub struct BatchedEventRateTable {
-    core: TableCore,
-    lane: usize,
-}
-
-impl BatchedEventRateTable {
-    /// Builds and fills lane `lane`'s table from the batched potentials.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane` is out of range.
-    #[must_use]
-    pub fn new(
-        _system: &TunnelSystem,
-        ctx: &RateContext,
-        live: &BatchedLiveState,
-        lane: usize,
-    ) -> Self {
-        assert!(lane < live.replicas(), "lane {lane} out of range");
-        let mut table = BatchedEventRateTable {
-            core: TableCore::new(ctx.endpoints().len()),
-            lane,
-        };
-        table.core.refill(
-            &EvalParams::new(ctx, live.endpoint_planes(), live.replicas(), lane),
-            live.generation(lane),
-        );
-        table
-    }
-
-    /// The lane this table maintains.
-    #[must_use]
-    pub fn lane(&self) -> usize {
-        self.lane
-    }
-
-    /// Lane twin of [`EventRateTable::sync`].
-    pub fn sync(
-        &mut self,
-        _system: &TunnelSystem,
-        ctx: &RateContext,
-        live: &BatchedLiveState,
-    ) -> bool {
-        if live.generation(self.lane) == self.core.seen_generation {
-            return false;
-        }
-        self.core.refill(
-            &EvalParams::new(ctx, live.endpoint_planes(), live.replicas(), self.lane),
-            live.generation(self.lane),
-        );
-        true
-    }
-
-    /// Lane twin of [`EventRateTable::apply_event`] — call after the lane's
-    /// event was applied (individually or via a lockstep `apply_all`).
-    pub fn apply_event(
-        &mut self,
-        system: &TunnelSystem,
-        ctx: &RateContext,
-        live: &BatchedLiveState,
-        event: TunnelEvent,
-    ) {
-        self.core.apply_event(
-            system,
-            event.junction,
-            event_sign(event),
-            &EvalParams::new(ctx, live.endpoint_planes(), live.replicas(), self.lane),
-            live.generation(self.lane),
-        );
-    }
-
-    /// Lane twin of [`EventRateTable::total`].
-    #[must_use]
-    pub fn total(&self) -> f64 {
-        self.core.tree.total()
-    }
-
-    /// Lane twin of [`EventRateTable::rate`].
-    #[must_use]
-    pub fn rate(&self, index: usize) -> f64 {
-        self.core.tree.leaf(index)
-    }
-
-    /// Lane twin of [`EventRateTable::delta_f`].
-    #[must_use]
-    pub fn delta_f(&self, index: usize) -> f64 {
-        self.core.df[index]
-    }
-
-    /// Lane twin of [`EventRateTable::event_count`].
-    #[must_use]
-    pub fn event_count(&self) -> usize {
-        self.core.tree.len()
-    }
-
-    /// Lane twin of [`EventRateTable::select`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if every rate is zero (callers gate on `total() > 0`).
-    #[must_use]
-    pub fn select(&self, target: f64) -> usize {
-        self.core.select(target)
     }
 }
 
@@ -928,55 +759,5 @@ mod tests {
             assert!(strong.contains(&(f as u32)));
         }
         assert!(system.coupling_margin() > 0.0);
-    }
-
-    #[test]
-    fn batched_lane_table_matches_the_scalar_table() {
-        let system = chain(2e-3, 0.05);
-        let ctx = RateContext::new(&system, 0.5).unwrap();
-        let replicas = 3;
-        let mut batch = BatchedLiveState::new(&system, ChargeState::neutral(2), replicas).unwrap();
-        let mut scalars: Vec<LiveState> = (0..replicas)
-            .map(|_| LiveState::new(&system, ChargeState::neutral(2)))
-            .collect();
-        let mut lane_tables: Vec<BatchedEventRateTable> = (0..replicas)
-            .map(|r| BatchedEventRateTable::new(&system, &ctx, &batch, r))
-            .collect();
-        let mut scalar_tables: Vec<EventRateTable> = scalars
-            .iter()
-            .map(|live| EventRateTable::new(&system, &ctx, live))
-            .collect();
-        let mut walks: Vec<u64> = (0..replicas).map(|r| 23 + 1000 * r as u64).collect();
-        for _ in 0..500 {
-            for r in 0..replicas {
-                walks[r] = walks[r]
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                let event = system.event((walks[r] >> 33) as usize % system.event_count());
-                batch.apply(&system, event, r);
-                scalars[r].apply(&system, event);
-                lane_tables[r].apply_event(&system, &ctx, &batch, event);
-                scalar_tables[r].apply_event(&system, &ctx, &scalars[r], event);
-            }
-        }
-        for r in 0..replicas {
-            assert_eq!(
-                lane_tables[r].total().to_bits(),
-                scalar_tables[r].total().to_bits(),
-                "lane {r} total diverged"
-            );
-            for e in 0..system.event_count() {
-                assert_eq!(
-                    lane_tables[r].rate(e).to_bits(),
-                    scalar_tables[r].rate(e).to_bits(),
-                    "lane {r} event {e} diverged"
-                );
-                assert_eq!(
-                    lane_tables[r].delta_f(e).to_bits(),
-                    scalar_tables[r].delta_f(e).to_bits(),
-                    "lane {r} event {e} ΔF diverged"
-                );
-            }
-        }
     }
 }

@@ -49,7 +49,6 @@
 #![allow(clippy::neg_cmp_op_on_partial_ord)]
 
 pub mod background;
-pub mod batch;
 pub mod cotunneling;
 pub mod engine;
 pub mod error;
@@ -59,10 +58,9 @@ pub mod rates;
 pub mod set;
 pub mod system;
 
-pub use batch::{BatchedLiveState, BatchedRateContext};
 pub use engine::AnalyticSetEngine;
 pub use error::OrthodoxError;
-pub use events::{BatchedEventRateTable, EventRateTable};
+pub use events::EventRateTable;
 pub use live::{LiveState, RateContext};
 pub use rates::{tunnel_rate, tunnel_rate_zero_temperature};
 pub use system::{

@@ -36,9 +36,9 @@ pub(crate) const MAX_EXPONENT: f64 = 500.0;
 /// the thermal window — cannot auto-vectorize. This version is pure
 /// element-wise arithmetic (the round-to-nearest `n` comes from the
 /// add-magic trick, `2^n` from assembling the exponent bits), which LLVM
-/// vectorizes across replica lanes; and because the scalar and batched
-/// engines evaluate the *same* expression the result is bit-identical on
-/// both paths, vectorized or not.
+/// vectorizes across the event table's window pass; and because
+/// [`rate_from_parts`] and its branch-free twin evaluate the *same*
+/// expression the result is bit-identical on both paths, vectorized or not.
 ///
 /// Only meaningful for `|x| ≤` [`MAX_EXPONENT`] — the callers' Boltzmann
 /// window. Outside it the scale factor's exponent bits can wrap: the
@@ -83,7 +83,7 @@ pub(crate) fn exp_boltzmann(x: f64) -> f64 {
 }
 
 /// [`rate_from_parts`] for `kt > 0`, written as straight-line selects so a
-/// lane loop over it auto-vectorizes (no early returns, every branch of
+/// window loop over it auto-vectorizes (no early returns, every branch of
 /// the cascade computed and the right one chosen). Bitwise the same result:
 /// the selected expression is the identical arithmetic, and the select
 /// order reproduces the cascade's priorities (series window first, then

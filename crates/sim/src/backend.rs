@@ -105,21 +105,6 @@ where
             .engine
             .stationary_currents(controls, observables, seed)?)
     }
-
-    fn stationary_currents_ensemble(
-        &self,
-        controls: &[(ControlId, f64)],
-        observables: &[ObservableId],
-        seeds: &[u64],
-    ) -> Result<Vec<Vec<f64>>, SimError> {
-        Ok(self
-            .engine
-            .stationary_currents_ensemble(controls, observables, seeds)?)
-    }
-
-    fn has_batched_stationary_ensemble(&self) -> bool {
-        self.engine.has_batched_stationary_ensemble()
-    }
 }
 
 impl<E> TransientEngine for SourceMapped<E>
@@ -151,22 +136,6 @@ where
         Ok(self
             .engine
             .transient_currents(drives, observables, times, seed)?)
-    }
-
-    fn transient_currents_ensemble(
-        &self,
-        drives: &[(ControlId, Waveform)],
-        observables: &[ObservableId],
-        times: &[f64],
-        seeds: &[u64],
-    ) -> Result<Vec<TransientTrace>, SimError> {
-        Ok(self
-            .engine
-            .transient_currents_ensemble(drives, observables, times, seeds)?)
-    }
-
-    fn has_batched_transient_ensemble(&self) -> bool {
-        self.engine.has_batched_transient_ensemble()
     }
 }
 
@@ -579,36 +548,6 @@ impl StationaryEngine for StationaryBackend {
             }
         }
     }
-
-    fn stationary_currents_ensemble(
-        &self,
-        controls: &[(ControlId, f64)],
-        observables: &[ObservableId],
-        seeds: &[u64],
-    ) -> Result<Vec<Vec<f64>>, SimError> {
-        match self {
-            // Only the KMC family has a batched lockstep path; the other
-            // engines fall back to their default per-seed loop (which is
-            // still the bit-identity reference the batch must match).
-            StationaryBackend::Kmc(e) => StationaryEngine::stationary_currents_ensemble(
-                e.as_ref(),
-                controls,
-                observables,
-                seeds,
-            ),
-            other => seeds
-                .iter()
-                .map(|&seed| other.stationary_currents(controls, observables, seed))
-                .collect(),
-        }
-    }
-
-    fn has_batched_stationary_ensemble(&self) -> bool {
-        match self {
-            StationaryBackend::Kmc(e) => e.has_batched_stationary_ensemble(),
-            _ => false,
-        }
-    }
 }
 
 /// The compiled transient backend of a deck.
@@ -677,31 +616,6 @@ impl TransientEngine for TransientBackend {
             TransientBackend::Hybrid(e) => {
                 Ok(e.transient_currents(drives, observables, times, seed)?)
             }
-        }
-    }
-
-    fn transient_currents_ensemble(
-        &self,
-        drives: &[(ControlId, Waveform)],
-        observables: &[ObservableId],
-        times: &[f64],
-        seeds: &[u64],
-    ) -> Result<Vec<TransientTrace>, SimError> {
-        match self {
-            TransientBackend::Kmc(e) => {
-                e.transient_currents_ensemble(drives, observables, times, seeds)
-            }
-            other => seeds
-                .iter()
-                .map(|&seed| other.transient_currents(drives, observables, times, seed))
-                .collect(),
-        }
-    }
-
-    fn has_batched_transient_ensemble(&self) -> bool {
-        match self {
-            TransientBackend::Kmc(e) => e.has_batched_transient_ensemble(),
-            _ => false,
         }
     }
 }

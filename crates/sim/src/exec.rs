@@ -58,11 +58,6 @@ pub struct ExecOptions {
     /// Cooperative cancellation: when the token fires, workers stop, and a
     /// checkpointed run can later resume from the completed chunks.
     pub cancel: Option<CancelToken>,
-    /// Force `.options repeats=` ensembles through the per-seed scalar
-    /// loop instead of the batched lockstep engine. The batched path is
-    /// bit-identical by contract; this switch exists so the determinism
-    /// gate can *prove* it by diffing the two executions.
-    pub scalar_ensemble: bool,
     /// Replicas per ensemble lane group (`None` = [`DEFAULT_LANE_WIDTH`]):
     /// each bias point's `repeats` replicas shard into
     /// `ceil(repeats / width)` work items on the shared pool, so an
@@ -70,14 +65,15 @@ pub struct ExecOptions {
     /// batch. Replica `k` is always seeded `derive_seed(point_seed, k)`
     /// whatever the width, and group results recombine in plain replica
     /// order — the published tables are byte-identical across widths (and
-    /// across `--jobs` and the scalar fallback).
+    /// across `--jobs`).
     pub lane_width: Option<usize>,
 }
 
 /// The default ensemble lane width: replicas per lane-group work item.
-/// Eight `f64` lanes fill one AVX-512 vector (two AVX2 vectors) in the
-/// batched engine's SoA planes, while a 16-replica deck ensemble still
-/// splits into two schedulable items.
+/// The width fixes the item geometry of every ensemble job, and so the
+/// chunk layout of the committed golden replay traces (which record that
+/// geometry); a 16-replica deck ensemble splits into two schedulable
+/// items.
 pub const DEFAULT_LANE_WIDTH: usize = 8;
 
 /// Bias points per work item on warm-started master-equation sweeps and
@@ -248,9 +244,6 @@ pub(crate) struct PreparedJob {
     /// Seed-ensemble size per bias point (`.options repeats=`); `None` =
     /// single-shot rows.
     repeats: Option<usize>,
-    /// Route ensembles through the per-seed scalar loop (the determinism
-    /// gate's reference execution) instead of the batched engine.
-    scalar_ensemble: bool,
     /// Output points (bias points for sweeps/maps, 1 for transients). For
     /// ensembles the job fans out further: `spec.items()` is
     /// `points * groups_per_point`.
@@ -447,13 +440,12 @@ impl PreparedJob {
     /// The seeds of lane group `group` of a point's ensemble: replica `k`
     /// always gets [`derive_seed`]`(point_seed, k)` — the grouping only
     /// decides *which* replicas an item runs, never how they are seeded.
-    fn group_seeds(&self, point_seed: u64, group: usize) -> Vec<u64> {
+    fn group_seeds(&self, point_seed: u64, group: usize) -> impl Iterator<Item = u64> {
         let repeats = self
             .repeats
             .expect("grouped solves only exist for ensembles");
         lane_group_range(repeats, self.lane_width, group)
-            .map(|k| derive_seed(point_seed, k as u64))
-            .collect()
+            .map(move |k| derive_seed(point_seed, k as u64))
     }
 
     /// One lane group of a stationary point: the raw per-replica observable
@@ -466,17 +458,9 @@ impl PreparedJob {
         point_seed: u64,
         group: usize,
     ) -> Result<Vec<Vec<f64>>, SimError> {
-        let seeds = self.group_seeds(point_seed, group);
-        if self.scalar_ensemble || seeds.len() == 1 {
-            // A single replica (repeats=1, or a width-1 tail group) is
-            // exactly one scalar walk — the batched machinery adds nothing.
-            seeds
-                .iter()
-                .map(|&s| backend.stationary_currents(controls, observables, s))
-                .collect()
-        } else {
-            backend.stationary_currents_ensemble(controls, observables, &seeds)
-        }
+        self.group_seeds(point_seed, group)
+            .map(|seed| backend.stationary_currents(controls, observables, seed))
+            .collect()
     }
 
     /// One lane group of a transient ensemble: the raw observable rows of
@@ -491,15 +475,10 @@ impl PreparedJob {
         point_seed: u64,
         group: usize,
     ) -> Result<Vec<Vec<f64>>, SimError> {
-        let seeds = self.group_seeds(point_seed, group);
-        let traces = if self.scalar_ensemble || seeds.len() == 1 {
-            seeds
-                .iter()
-                .map(|&s| backend.transient_currents(drives, observables, times, s))
-                .collect::<Result<Vec<_>, _>>()?
-        } else {
-            backend.transient_currents_ensemble(drives, observables, times, &seeds)?
-        };
+        let traces = self
+            .group_seeds(point_seed, group)
+            .map(|seed| backend.transient_currents(drives, observables, times, seed))
+            .collect::<Result<Vec<_>, _>>()?;
         let mut rows = Vec::with_capacity(traces.len() * times.len());
         for trace in &traces {
             for i in 0..times.len() {
@@ -578,8 +557,7 @@ fn single_row(prefix: &[f64], currents: Vec<f64>) -> Vec<f64> {
 /// concatenated in group order — which *is* plain replica order, see
 /// [`se_exec::lane_group_range`]) into the published mean/stderr rows.
 /// Summation always walks replicas `0..repeats` in order, so the published
-/// tables are byte-identical across lane widths, worker counts and the
-/// scalar fallback.
+/// tables are byte-identical across lane widths and worker counts.
 pub(crate) enum PointCombiner {
     /// One output row per point: the point's bias prefix + mean/stderr
     /// pairs over the replica rows.
@@ -767,7 +745,6 @@ fn prepare_run(
         job_label: format!("{label}/{}", run.label),
         columns,
         repeats: plan.repeats,
-        scalar_ensemble: options.scalar_ensemble,
         points: items,
         groups_per_point,
         points_per_item,

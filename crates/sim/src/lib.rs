@@ -196,28 +196,7 @@ mod tests {
     }
 
     #[test]
-    fn batched_ensembles_match_the_scalar_fallback_bit_for_bit() {
-        let text = SET_DECK.replace(
-            ".options temp=1 seed=3",
-            ".options temp=1 seed=3 engine=kmc events=1500 repeats=3",
-        );
-        let deck = parse_full_deck(&text).unwrap();
-        let plan = compile(&deck).unwrap();
-        let batched = execute(&deck, &plan).unwrap();
-        let scalar = execute_with_options(
-            &deck,
-            &plan,
-            &ExecOptions {
-                scalar_ensemble: true,
-                ..ExecOptions::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(batched, scalar);
-    }
-
-    #[test]
-    fn transient_repeats_go_through_the_batched_clock() {
+    fn transient_repeats_publish_mean_and_stderr_columns() {
         let deck_text = "pulsed SET\n\
              VD drain 0 1m\n\
              VG gate 0 PULSE(0 0.08 20n 40n 80n)\n\
@@ -229,20 +208,10 @@ mod tests {
              .print tran i(J1)\n";
         let deck = parse_full_deck(deck_text).unwrap();
         let plan = compile(&deck).unwrap();
-        let batched = execute(&deck, &plan).unwrap();
+        let results = execute(&deck, &plan).unwrap();
         assert_eq!(
-            batched[0].columns(),
+            results[0].columns(),
             &["t".to_string(), "I(J1)".into(), "stderr(I(J1))".into()]
         );
-        let scalar = execute_with_options(
-            &deck,
-            &plan,
-            &ExecOptions {
-                scalar_ensemble: true,
-                ..ExecOptions::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(batched, scalar);
     }
 }

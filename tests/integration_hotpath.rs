@@ -12,11 +12,11 @@ use proptest::prelude::*;
 use single_electronics::montecarlo::{
     MasterEquation, MonteCarloSimulator, SimulationOptions, StationarySolver,
 };
+use single_electronics::numeric::sampling::ln_unit;
 use single_electronics::orthodox::live::{LiveState, RateContext};
 use single_electronics::orthodox::set::SingleElectronTransistor;
 use single_electronics::orthodox::{
-    tunnel_rate, BatchedEventRateTable, BatchedLiveState, BatchedRateContext, ChargeState,
-    EventRateTable, TunnelSystem, TunnelSystemBuilder,
+    tunnel_rate, ChargeState, EventRateTable, TunnelSystem, TunnelSystemBuilder,
 };
 
 /// A randomly parameterised island chain: every island couples to the
@@ -220,63 +220,6 @@ proptest! {
             );
         }
     }
-
-    /// The batched lane tables under interleaved per-lane walks: lane `k`
-    /// stays bit-identical to a standalone scalar table fed the same event
-    /// sequence (rates *and* maintained ΔF), and every lane's refill
-    /// boundary reproduces the scalar `fill_rates` of its charge state bit
-    /// for bit.
-    #[test]
-    fn prop_batched_lane_table_refills_match_fill_rates_bit_for_bit(
-        circuit in ArbCircuit,
-        temperature_index in 0usize..3,
-        walk in proptest::collection::vec(0_usize..10_000, 3..240),
-    ) {
-        let temperature = [0.1, 1.0, 4.2][temperature_index];
-        let islands = circuit.gate_caps.len();
-        let system = circuit.build();
-        let replicas = 3;
-        let batch_ctx = BatchedRateContext::new(&system, temperature, replicas).unwrap();
-        let ctx = batch_ctx.context();
-        let mut batch =
-            BatchedLiveState::new(&system, ChargeState::neutral(islands), replicas).unwrap();
-        let mut lanes: Vec<BatchedEventRateTable> = (0..replicas)
-            .map(|r| BatchedEventRateTable::new(&system, ctx, &batch, r))
-            .collect();
-        // Scalar twin of lane 1: fed exactly the walk steps lane 1 sees.
-        let mut twin_live = LiveState::new(&system, ChargeState::neutral(islands));
-        let mut twin = EventRateTable::new(&system, ctx, &twin_live);
-        for (i, &step) in walk.iter().enumerate() {
-            let lane = i % replicas;
-            let event = system.event(step % system.event_count());
-            batch.apply(&system, event, lane);
-            lanes[lane].apply_event(&system, ctx, &batch, event);
-            if lane == 1 {
-                twin_live.apply(&system, event);
-                twin.apply_event(&system, ctx, &twin_live, event);
-            }
-        }
-        for index in 0..twin.event_count() {
-            prop_assert_eq!(lanes[1].rate(index).to_bits(), twin.rate(index).to_bits());
-            prop_assert_eq!(lanes[1].delta_f(index).to_bits(), twin.delta_f(index).to_bits());
-        }
-        let mut rates = Vec::new();
-        for (r, lane) in lanes.iter_mut().enumerate() {
-            batch.refresh_replica(&system, r);
-            prop_assert!(lane.sync(&system, ctx, &batch), "refresh must trigger a refill");
-            let snapshot = LiveState::new(&system, batch.charge_state(r));
-            ctx.fill_rates(&system, &snapshot, &mut rates);
-            for (index, &rate) in rates.iter().enumerate() {
-                prop_assert_eq!(
-                    lane.rate(index).to_bits(),
-                    rate.to_bits(),
-                    "lane {} event {} diverged at the refill boundary",
-                    r,
-                    index
-                );
-            }
-        }
-    }
 }
 
 /// The rate every maintained table leaf must hold for its maintained ΔF:
@@ -292,8 +235,8 @@ fn kernel_rate(ctx: &RateContext, event: usize, delta_f: f64) -> f64 {
 /// Window compaction never drops an event: over random circuits and
 /// random event walks at 0.1 K (most events frozen past the cutoff) and
 /// 4.2 K (most inside the Boltzmann window), after every single event
-/// each leaf of the scalar table and of a batched lane equals the kernel
-/// applied to that event's maintained ΔF. Events that leave the window
+/// each leaf of the table equals the kernel applied to that event's
+/// maintained ΔF. Events that leave the window
 /// while still holding a non-zero rate are counted, so the walk provably
 /// exercises the path where a kept-for-its-leaf event must drop to zero.
 #[test]
@@ -305,35 +248,21 @@ fn event_table_leaves_track_the_kernel_of_their_maintained_delta_f() {
             let circuit = ArbCircuit.sample(&mut rng);
             let islands = circuit.gate_caps.len();
             let system = circuit.build();
-            let replicas = 2;
-            let batch_ctx = BatchedRateContext::new(&system, temperature, replicas).unwrap();
-            let ctx = batch_ctx.context();
+            let ctx = &RateContext::new(&system, temperature).unwrap();
             let mut live = LiveState::new(&system, ChargeState::neutral(islands));
             let mut table = EventRateTable::new(&system, ctx, &live);
-            let mut batch =
-                BatchedLiveState::new(&system, ChargeState::neutral(islands), replicas).unwrap();
-            let mut lane = BatchedEventRateTable::new(&system, ctx, &batch, 1);
             for _ in 0..400 {
                 let event = system.event(rng.below(system.event_count() as u64) as usize);
                 let before: Vec<f64> = (0..table.event_count()).map(|e| table.rate(e)).collect();
                 live.apply(&system, event);
                 table.apply_event(&system, ctx, &live, event);
-                batch.apply(&system, event, 1);
-                lane.apply_event(&system, ctx, &batch, event);
                 for (e, &rate_before) in before.iter().enumerate() {
-                    let scalar_expected = kernel_rate(ctx, e, table.delta_f(e));
+                    let expected = kernel_rate(ctx, e, table.delta_f(e));
                     assert_eq!(
                         table.rate(e).to_bits(),
-                        scalar_expected.to_bits(),
-                        "T = {temperature} K: scalar leaf {e} (ΔF {:e}) is stale",
+                        expected.to_bits(),
+                        "T = {temperature} K: leaf {e} (ΔF {:e}) is stale",
                         table.delta_f(e)
-                    );
-                    let lane_expected = kernel_rate(ctx, e, lane.delta_f(e));
-                    assert_eq!(
-                        lane.rate(e).to_bits(),
-                        lane_expected.to_bits(),
-                        "T = {temperature} K: lane leaf {e} (ΔF {:e}) is stale",
-                        lane.delta_f(e)
                     );
                     if rate_before != 0.0 && table.delta_f(e) > ctx.frozen_cutoff() {
                         left_window_with_rate += 1;
@@ -551,3 +480,35 @@ const GOLDEN_100: f64 = 5.352991434652985e-8;
 const GOLDEN_150: f64 = 9.668731531978366e-8;
 const GOLDEN_200: f64 = 1.4122215866572211e-7;
 const GOLDEN_300: f64 = 2.3120211081667966e-7;
+
+/// Distance in units-in-the-last-place between two finite same-sign
+/// doubles (their IEEE-754 bit patterns are order-isomorphic there).
+fn ulp_distance(a: f64, b: f64) -> u64 {
+    let (a, b) = (a.to_bits() as i64, b.to_bits() as i64);
+    a.abs_diff(b)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The deterministic event-clock kernel tracks the platform libm to
+    /// ≤ 2 ulp over the whole open unit interval — uniformly dense draws
+    /// plus draws pushed toward the underflow boundary, where the range
+    /// reduction works hardest.
+    #[test]
+    fn prop_ln_unit_stays_within_two_ulp_of_libm(
+        mantissa in 0.0_f64..1.0,
+        scale_exp in 0_i32..300,
+    ) {
+        // u spans (0, 1] across ~300 binades, not just the dense top one.
+        let u = (mantissa + f64::MIN_POSITIVE) * 2.0_f64.powi(-scale_exp);
+        prop_assume!(u > 0.0 && u <= 1.0);
+        let kernel = ln_unit(u);
+        let libm = u.ln();
+        prop_assert!(
+            ulp_distance(kernel, libm) <= 2,
+            "ln_unit({u:e}) = {kernel:e} vs libm {libm:e} ({} ulp apart)",
+            ulp_distance(kernel, libm)
+        );
+    }
+}
